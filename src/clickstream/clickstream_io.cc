@@ -4,8 +4,8 @@
 #include <fstream>
 #include <unordered_set>
 
+#include "clickstream/clickstream_rows.h"
 #include "util/csv.h"
-#include "util/string_util.h"
 
 namespace prefcover {
 
@@ -63,9 +63,10 @@ Result<Clickstream> ReadClickstreamCsv(std::istream* in) {
   Clickstream clickstream;
   ItemDictionary* dict = clickstream.mutable_dictionary();
   CsvReader reader(in);
+  ClickstreamRecordParser parser;
   std::vector<std::string> fields;
+  ClickstreamRecord record;
   bool header = true;
-  bool has_dwell_column = false;
   std::string current_sid;
   bool have_session = false;
   Session current;
@@ -79,63 +80,27 @@ Result<Clickstream> ReadClickstreamCsv(std::istream* in) {
   while (reader.Next(&fields)) {
     if (header) {
       header = false;
-      if ((fields.size() != 3 && fields.size() != 4) ||
-          fields[0] != "session_id") {
-        return Status::InvalidArgument(
-            "clickstream CSV must start with session_id,event_type,item_id"
-            "[,dwell_seconds]");
-      }
-      has_dwell_column = fields.size() == 4;
+      PREFCOVER_RETURN_NOT_OK(parser.ParseHeader(ViewRecordFields(fields)));
       continue;
     }
-    if (fields.size() != (has_dwell_column ? 4u : 3u)) {
-      return Status::InvalidArgument(
-          "clickstream record " + std::to_string(reader.record_number()) +
-          " has the wrong field count");
-    }
-    const std::string& sid = fields[0];
-    const std::string& type = fields[1];
-    const std::string& item_name = fields[2];
-    if (!have_session || sid != current_sid) {
+    PREFCOVER_RETURN_NOT_OK(parser.ParseRecord(
+        ViewRecordFields(fields), reader.record_number(), &record));
+    if (!have_session || record.session_id != current_sid) {
       if (have_session) {
         flush();
         finished_sids.insert(current_sid);
       }
-      if (finished_sids.count(sid) > 0) {
-        return Status::InvalidArgument("session '" + sid +
+      current_sid = record.session_id;
+      if (finished_sids.count(current_sid) > 0) {
+        return Status::InvalidArgument("session '" + current_sid +
                                        "' reappears after other sessions; "
                                        "input must be grouped by session");
       }
-      current_sid = sid;
       have_session = true;
     }
-    ItemId item = dict->Intern(item_name);
-    if (type == "click") {
-      current.clicks.push_back(item);
-      if (has_dwell_column) {
-        double dwell = -1.0;
-        if (!fields[3].empty()) {
-          auto parsed = ParseDouble(fields[3]);
-          if (!parsed.ok()) {
-            return Status::InvalidArgument(
-                "bad dwell value in record " +
-                std::to_string(reader.record_number()));
-          }
-          dwell = *parsed;
-        }
-        current.dwell_seconds.push_back(dwell);
-      }
-    } else if (type == "purchase") {
-      if (current.HasPurchase()) {
-        return Status::InvalidArgument("session '" + sid +
-                                       "' has multiple purchases");
-      }
-      current.purchase = item;
-    } else {
-      return Status::InvalidArgument("unknown event type '" + type +
-                                     "' in record " +
-                                     std::to_string(reader.record_number()));
-    }
+    PREFCOVER_RETURN_NOT_OK(AddEventToSession(
+        record, dict->Intern(record.item),
+        parser.has_dwell_column(), &current));
   }
   PREFCOVER_RETURN_NOT_OK(reader.status());
   if (have_session) flush();

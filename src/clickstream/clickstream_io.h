@@ -23,14 +23,15 @@ namespace prefcover {
 /// \brief Writes the clickstream as event CSV (with header).
 Status WriteClickstreamCsv(const Clickstream& clickstream, std::ostream* out);
 
-/// \brief Reads an event CSV into memory.
+/// \brief Reads an event CSV into memory, every session included.
 ///
-/// Rules enforced:
-///   - unknown event types are an error;
-///   - a second purchase in a session is an error (the paper's data has
-///     single-purchase sessions by construction);
-///   - sessions interleaving (a session id seen again after another id)
-///     is an error, so silent data corruption is caught.
+/// Built on the RFC-4180 CsvReader, this is the reference reader that
+/// tests, benches and examples compare the file scanner
+/// (clickstream_scan.h, the ingestion path of `construct`) against. Rules
+/// enforced, besides the row checks of clickstream_rows.h (header, field
+/// count, event type, dwell value, one purchase per session): sessions
+/// interleaving (a session id seen again after another id) is an error,
+/// so silent data corruption is caught.
 Result<Clickstream> ReadClickstreamCsv(std::istream* in);
 
 /// File-path conveniences.

@@ -45,9 +45,9 @@ struct GraphConstructionOptions {
   /// Sessions without dwell data always contribute full clicks.
   double dwell_saturation_seconds = 0.0;
 
-  /// Cooperative cancellation for the streaming construction: checked at
-  /// session-flush boundaries; a tripped token makes
-  /// BuildPreferenceGraphStreaming return Status::Cancelled (unlike a
+  /// Cooperative cancellation for construction from CSV: the file scan
+  /// and the live feed (streaming_construction.h) poll it at session
+  /// boundaries; a tripped token returns Status::Cancelled (unlike a
   /// solve, a half-built graph has no useful prefix to salvage). The
   /// in-memory BuildPreferenceGraph ignores it. nullptr disables.
   const CancelToken* cancel = nullptr;

@@ -1,6 +1,7 @@
 #include "clickstream/session.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "util/logging.h"
 
@@ -39,16 +40,43 @@ std::vector<std::pair<ItemId, double>> Session::AlternativesWithDwell()
   return alts;
 }
 
-ItemId ItemDictionary::Intern(const std::string& name) {
-  auto [it, inserted] =
-      index_.try_emplace(name, static_cast<ItemId>(names_.size()));
-  if (inserted) names_.push_back(name);
-  return it->second;
+size_t ItemDictionary::FindSlot(std::string_view name, uint64_t hash) const {
+  const size_t mask = slots_.size() - 1;
+  const uint32_t tag = static_cast<uint32_t>(hash >> 32);
+  for (size_t i = static_cast<size_t>(hash) & mask;; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.id == kInvalidItem ||
+        (slot.tag == tag && names_[slot.id] == name)) {
+      return i;
+    }
+  }
 }
 
-ItemId ItemDictionary::Lookup(const std::string& name) const {
-  auto it = index_.find(name);
-  return it == index_.end() ? kInvalidItem : it->second;
+void ItemDictionary::Grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.empty() ? 64 : old.size() * 2, Slot());
+  for (const Slot& slot : old) {
+    if (slot.id == kInvalidItem) continue;
+    const uint64_t hash = std::hash<std::string_view>()(names_[slot.id]);
+    slots_[FindSlot(names_[slot.id], hash)] = slot;
+  }
+}
+
+ItemId ItemDictionary::Intern(std::string_view name) {
+  // Keep the load at most 1/2, so probe runs stay short.
+  if (2 * (names_.size() + 1) > slots_.size()) Grow();
+  const uint64_t hash = std::hash<std::string_view>()(name);
+  Slot& slot = slots_[FindSlot(name, hash)];
+  if (slot.id != kInvalidItem) return slot.id;
+  slot.id = static_cast<ItemId>(names_.size());
+  slot.tag = static_cast<uint32_t>(hash >> 32);
+  names_.emplace_back(name);
+  return slot.id;
+}
+
+ItemId ItemDictionary::Lookup(std::string_view name) const {
+  if (slots_.empty()) return kInvalidItem;
+  return slots_[FindSlot(name, std::hash<std::string_view>()(name))].id;
 }
 
 const std::string& ItemDictionary::Name(ItemId id) const {

@@ -12,7 +12,8 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/status.h"
@@ -55,13 +56,17 @@ struct Session {
 
 /// \brief Bidirectional mapping between external item names (SKUs) and
 /// dense ItemIds.
+///
+/// The name index is a flat open-addressing table of ids, so a lookup is
+/// one hash, one probe run and one name compare, with no allocation.
 class ItemDictionary {
  public:
-  /// Returns the id of `name`, interning it on first sight.
-  ItemId Intern(const std::string& name);
+  /// Returns the id of `name`, interning it on first sight. Only a new
+  /// name is copied.
+  ItemId Intern(std::string_view name);
 
   /// Id of `name` or kInvalidItem when unknown.
-  ItemId Lookup(const std::string& name) const;
+  ItemId Lookup(std::string_view name) const;
 
   /// Name of an interned id.
   const std::string& Name(ItemId id) const;
@@ -69,8 +74,17 @@ class ItemDictionary {
   size_t size() const { return names_.size(); }
 
  private:
-  std::unordered_map<std::string, ItemId> index_;
+  struct Slot {
+    ItemId id = kInvalidItem;  // kInvalidItem marks an empty slot
+    uint32_t tag = 0;          // high hash bits, compared before the name
+  };
+
+  // The slot holding `name`, or the empty slot where it would go.
+  size_t FindSlot(std::string_view name, uint64_t hash) const;
+  void Grow();
+
   std::vector<std::string> names_;
+  std::vector<Slot> slots_;  // size is zero or a power of two
 };
 
 }  // namespace prefcover

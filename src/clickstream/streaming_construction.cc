@@ -1,15 +1,14 @@
 #include "clickstream/streaming_construction.h"
 
 #include <algorithm>
-#include <fstream>
 #include <istream>
 
+#include "clickstream/clickstream_rows.h"
+#include "clickstream/clickstream_scan.h"
 #include "graph/graph_builder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/csv.h"
-#include "util/failpoint.h"
-#include "util/string_util.h"
 
 namespace prefcover {
 
@@ -23,7 +22,7 @@ StreamingGraphBuilder::StreamingGraphBuilder(
       edges_counter_(obs::MetricsRegistry::Global().GetCounter(
           "clickstream.edges")) {}
 
-ItemId StreamingGraphBuilder::InternItem(const std::string& name) {
+ItemId StreamingGraphBuilder::InternItem(std::string_view name) {
   ItemId id = dictionary_.Intern(name);
   if (id >= purchase_count_.size()) purchase_count_.resize(id + 1, 0);
   return id;
@@ -105,43 +104,28 @@ Result<PreferenceGraph> BuildPreferenceGraphStreaming(
   obs::Span build_span("clickstream.build", "clickstream");
   StreamingGraphBuilder builder(options);
   CsvReader reader(events);
+  ClickstreamRecordParser parser;
   std::vector<std::string> fields;
+  ClickstreamRecord record;
   bool header = true;
-  bool has_dwell_column = false;
   std::string current_sid;
   bool have_session = false;
   uint64_t rows = 0;
   Session current;
 
-  auto flush = [&builder, &current]() {
-    obs::Span flush_span("clickstream.flush", "clickstream");
-    flush_span.Arg("clicks", static_cast<uint64_t>(current.clicks.size()));
-    builder.AddSession(std::move(current));
-    current = Session();
-  };
-
   while (reader.Next(&fields)) {
     if (header) {
       header = false;
-      if ((fields.size() != 3 && fields.size() != 4) ||
-          fields[0] != "session_id") {
-        return Status::InvalidArgument(
-            "clickstream CSV must start with session_id,event_type,item_id"
-            "[,dwell_seconds]");
-      }
-      has_dwell_column = fields.size() == 4;
+      PREFCOVER_RETURN_NOT_OK(parser.ParseHeader(ViewRecordFields(fields)));
       continue;
     }
     ++rows;
-    if (fields.size() != (has_dwell_column ? 4u : 3u)) {
-      return Status::InvalidArgument(
-          "clickstream record " + std::to_string(reader.record_number()) +
-          " has the wrong field count");
-    }
-    const std::string& sid = fields[0];
-    if (!have_session || sid != current_sid) {
+    PREFCOVER_RETURN_NOT_OK(parser.ParseRecord(
+        ViewRecordFields(fields), reader.record_number(), &record));
+    if (!have_session || record.session_id != current_sid) {
       if (have_session) {
-        flush();
+        builder.AddSession(std::move(current));
+        current = Session();
         // Session boundaries are the construction's round boundaries:
         // cheap (one flag read per session, not per row) and always at a
         // consistent point — no half-consumed session ever reaches the
@@ -152,38 +136,15 @@ Result<PreferenceGraph> BuildPreferenceGraphStreaming(
               std::to_string(builder.sessions_seen()) + " sessions");
         }
       }
-      current_sid = sid;
+      current_sid = record.session_id;
       have_session = true;
     }
-    ItemId item = builder.InternItem(fields[2]);
-    if (fields[1] == "click") {
-      current.clicks.push_back(item);
-      if (has_dwell_column) {
-        double dwell = -1.0;
-        if (!fields[3].empty()) {
-          auto parsed = ParseDouble(fields[3]);
-          if (!parsed.ok()) {
-            return Status::InvalidArgument(
-                "bad dwell value in record " +
-                std::to_string(reader.record_number()));
-          }
-          dwell = *parsed;
-        }
-        current.dwell_seconds.push_back(dwell);
-      }
-    } else if (fields[1] == "purchase") {
-      if (current.HasPurchase()) {
-        return Status::InvalidArgument("session '" + sid +
-                                       "' has multiple purchases");
-      }
-      current.purchase = item;
-    } else {
-      return Status::InvalidArgument("unknown event type '" + fields[1] +
-                                     "'");
-    }
+    PREFCOVER_RETURN_NOT_OK(
+        AddEventToSession(record, builder.InternItem(record.item),
+                          parser.has_dwell_column(), &current));
   }
   PREFCOVER_RETURN_NOT_OK(reader.status());
-  if (have_session) flush();
+  if (have_session) builder.AddSession(std::move(current));
   obs::MetricsRegistry::Global().GetCounter("clickstream.rows")
       ->Increment(rows);
   build_span.Arg("rows", rows);
@@ -193,10 +154,10 @@ Result<PreferenceGraph> BuildPreferenceGraphStreaming(
 
 Result<PreferenceGraph> BuildPreferenceGraphStreamingFile(
     const std::string& path, const GraphConstructionOptions& options) {
-  PREFCOVER_FAILPOINT_STATUS("clickstream.read");
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open for reading: " + path);
-  return BuildPreferenceGraphStreaming(&in, options);
+  PREFCOVER_ASSIGN_OR_RETURN(ClickstreamScan scan,
+                             ScanClickstreamFile(path, options.cancel));
+  obs::Span build_span("clickstream.build", "clickstream");
+  return BuildPreferenceGraph(scan.purchase_sessions, options);
 }
 
 }  // namespace prefcover

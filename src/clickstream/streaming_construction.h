@@ -1,18 +1,32 @@
-// Streaming preference-graph construction: one pass over a clickstream
-// CSV of any size, without materializing the sessions in memory.
+// Preference-graph construction straight from clickstream CSV, with no
+// Clickstream of all sessions in between.
 //
-// The paper's private corpora are tens of millions of sessions; loading
-// them as a Clickstream costs gigabytes. This builder consumes the event
-// stream session-by-session, holding only the per-(purchase, alternative)
-// fractional counts — the same sufficient statistics the in-memory
-// construction uses — so its output is bit-identical to
-// BuildPreferenceGraph on the same data (asserted in tests).
+// There is one ingestion path for files: BuildPreferenceGraphStreamingFile
+// (and the `construct` and `solve --clicks` verbs) scan the file once with
+// ScanClickstreamFile (clickstream_scan.h), which keeps only the purchase
+// sessions, then run the in-memory BuildPreferenceGraph on them. Memory
+// scales with the clicks of purchase sessions, not with the file.
+//
+// Grouped-input contract, per entry point:
+//   - files (BuildPreferenceGraphStreamingFile, ScanClickstreamFile,
+//     ReadClickstreamCsvFile): a session id that reappears after another
+//     session's rows is InvalidArgument;
+//   - the live feed (an istream through BuildPreferenceGraphStreaming, or
+//     sessions pushed into StreamingGraphBuilder): a reappearing id opens
+//     a NEW session, because a feed cannot remember every past id.
+//
+// All entry points share the row checks of clickstream_rows.h and give a
+// graph bit-identical to BuildPreferenceGraph(ReadClickstreamCsv(..)) on
+// grouped input (asserted in tests).
 
 #ifndef PREFCOVER_CLICKSTREAM_STREAMING_CONSTRUCTION_H_
 #define PREFCOVER_CLICKSTREAM_STREAMING_CONSTRUCTION_H_
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <vector>
 
 #include "clickstream/graph_construction.h"
 #include "clickstream/session.h"
@@ -31,7 +45,7 @@ class StreamingGraphBuilder {
       const GraphConstructionOptions& options = GraphConstructionOptions());
 
   /// Item names are interned here; ids are dense in first-seen order.
-  ItemId InternItem(const std::string& name);
+  ItemId InternItem(std::string_view name);
 
   /// Consumes one session (moves from it). Sessions without a purchase
   /// only contribute their interned items.
@@ -63,17 +77,19 @@ class StreamingGraphBuilder {
   obs::Counter* edges_counter_;
 };
 
-/// \brief One-pass construction from an event-CSV stream (same format as
-/// clickstream_io.h: `session_id,event_type,item_id`, grouped by session).
+/// \brief One-pass construction from a live event-CSV feed (same format
+/// as clickstream_io.h: `session_id,event_type,item_id`, grouped by
+/// session).
 ///
-/// Unlike ReadClickstreamCsv, a session id reappearing after other
-/// sessions is treated as a NEW session rather than rejected — a streaming
-/// pass cannot remember every past id without defeating its purpose.
+/// Unlike the file entry points, a session id reappearing after other
+/// sessions is treated as a NEW session rather than rejected.
 Result<PreferenceGraph> BuildPreferenceGraphStreaming(
     std::istream* events,
     const GraphConstructionOptions& options = GraphConstructionOptions());
 
-/// File-path convenience.
+/// \brief Construction from an event-CSV file: ScanClickstreamFile, then
+/// BuildPreferenceGraph on the purchase sessions. Ungrouped input is
+/// InvalidArgument; `options.cancel` is polled at session boundaries.
 Result<PreferenceGraph> BuildPreferenceGraphStreamingFile(
     const std::string& path,
     const GraphConstructionOptions& options = GraphConstructionOptions());

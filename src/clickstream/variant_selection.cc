@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace prefcover {
@@ -64,11 +63,15 @@ double IndependenceMeasure(const Clickstream& clickstream,
   if (total_purchases == 0) return 0.0;
 
   double weighted_sum = 0.0;
+  std::vector<std::vector<ItemId>> alternatives;
+  std::vector<size_t> members;
   for (const auto& [item, sessions] : by_purchase) {
-    // Click frequency per alternative of this item.
+    // Each session's alternatives, and the click frequency of each.
+    alternatives.clear();
     std::unordered_map<ItemId, uint64_t> click_count;
     for (const Session* s : sessions) {
-      for (ItemId alt : s->Alternatives()) ++click_count[alt];
+      alternatives.push_back(s->Alternatives());
+      for (ItemId alt : alternatives.back()) ++click_count[alt];
     }
     if (click_count.size() < 2) continue;  // no pairs -> contributes 0
 
@@ -83,21 +86,38 @@ double IndependenceMeasure(const Clickstream& clickstream,
       top.resize(max_alternatives_per_item);
     }
 
+    // Sessions clicking both top[i] and top[j], i < j: one pass over each
+    // session's alternatives. With each alternative's own click count this
+    // fixes the whole 2x2 table of every pair.
+    const size_t t = top.size();
+    std::unordered_map<ItemId, size_t> rank;
+    for (size_t i = 0; i < t; ++i) rank[top[i].first] = i;
+    std::vector<uint64_t> both(t * t, 0);
+    for (const std::vector<ItemId>& alts : alternatives) {
+      members.clear();
+      for (ItemId alt : alts) {
+        auto it = rank.find(alt);
+        if (it != rank.end()) members.push_back(it->second);
+      }
+      for (size_t a = 0; a < members.size(); ++a) {
+        for (size_t b = a + 1; b < members.size(); ++b) {
+          ++both[std::min(members[a], members[b]) * t +
+                 std::max(members[a], members[b])];
+        }
+      }
+    }
+
     // Pairwise NMI over the alternatives' click indicators, conditioned on
     // this item being purchased.
+    const uint64_t n = sessions.size();
     double pair_sum = 0.0;
     size_t pair_count = 0;
-    for (size_t i = 0; i < top.size(); ++i) {
-      for (size_t j = i + 1; j < top.size(); ++j) {
-        uint64_t counts[2][2] = {{0, 0}, {0, 0}};
-        for (const Session* s : sessions) {
-          std::vector<ItemId> alts = s->Alternatives();
-          bool a = std::find(alts.begin(), alts.end(), top[i].first) !=
-                   alts.end();
-          bool b = std::find(alts.begin(), alts.end(), top[j].first) !=
-                   alts.end();
-          ++counts[a ? 1 : 0][b ? 1 : 0];
-        }
+    for (size_t i = 0; i < t; ++i) {
+      for (size_t j = i + 1; j < t; ++j) {
+        const uint64_t n11 = both[i * t + j];
+        const uint64_t ni = top[i].second, nj = top[j].second;
+        const uint64_t counts[2][2] = {{n - ni - nj + n11, nj - n11},
+                                       {ni - n11, n11}};
         pair_sum += BinaryNormalizedMutualInformation(counts);
         ++pair_count;
       }

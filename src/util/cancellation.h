@@ -3,11 +3,12 @@
 // A CancelToken is a shared tripwire: the owner arms it (explicit
 // Cancel(), a monotonic deadline, or the process signal hookup) and
 // long-running loops poll IsCancelled() at natural safe points — solver
-// round boundaries, ParallelFor chunk starts, streaming-session flushes.
+// round boundaries, ParallelFor chunk starts, clickstream session
+// boundaries.
 // Nothing is ever aborted mid-operation: a cancelled greedy solve returns
 // the best prefix selected so far (marked `SolverStats::truncated`), a
 // cancelled ParallelFor stops dispatching *new* chunks, and a cancelled
-// streaming construction returns Status::Cancelled.
+// clickstream scan returns Status::Cancelled.
 //
 // Cost model: IsCancelled() is one relaxed atomic load when no deadline
 // is set, plus one steady_clock read when one is. Call sites that poll

@@ -1,7 +1,13 @@
 #include "clickstream/variant_selection.h"
 
+#include <algorithm>
+#include <bit>
+#include <unordered_map>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "synth/dataset_profiles.h"
 #include "util/random.h"
 
 namespace prefcover {
@@ -152,6 +158,69 @@ TEST(RecommendVariantTest, CustomThresholds) {
   VariantRecommendation rec = RecommendVariant(cs, options);
   EXPECT_TRUE(rec.normalized_fits);
   EXPECT_EQ(rec.variant, Variant::kNormalized);
+}
+
+// The measure by its definition: every pair's 2x2 table counted by
+// testing both alternatives in every session. The production code counts
+// co-clicks once per session instead; the result must not move a bit.
+double IndependenceByDefinition(const Clickstream& clickstream, size_t cap) {
+  std::unordered_map<ItemId, std::vector<const Session*>> by_purchase;
+  uint64_t total = 0;
+  for (const Session& session : clickstream.sessions()) {
+    if (!session.HasPurchase()) continue;
+    by_purchase[session.purchase].push_back(&session);
+    ++total;
+  }
+  if (total == 0) return 0.0;
+  double weighted_sum = 0.0;
+  for (const auto& [item, sessions] : by_purchase) {
+    std::unordered_map<ItemId, uint64_t> click_count;
+    for (const Session* s : sessions) {
+      for (ItemId alt : s->Alternatives()) ++click_count[alt];
+    }
+    if (click_count.size() < 2) continue;
+    std::vector<std::pair<ItemId, uint64_t>> top(click_count.begin(),
+                                                 click_count.end());
+    std::sort(top.begin(), top.end(), [](const auto& a, const auto& b) {
+      return a.second != b.second ? a.second > b.second : a.first < b.first;
+    });
+    if (top.size() > cap) top.resize(cap);
+    double pair_sum = 0.0;
+    size_t pair_count = 0;
+    for (size_t i = 0; i < top.size(); ++i) {
+      for (size_t j = i + 1; j < top.size(); ++j) {
+        uint64_t counts[2][2] = {{0, 0}, {0, 0}};
+        for (const Session* s : sessions) {
+          std::vector<ItemId> alts = s->Alternatives();
+          bool a = std::find(alts.begin(), alts.end(), top[i].first) !=
+                   alts.end();
+          bool b = std::find(alts.begin(), alts.end(), top[j].first) !=
+                   alts.end();
+          ++counts[a ? 1 : 0][b ? 1 : 0];
+        }
+        pair_sum += BinaryNormalizedMutualInformation(counts);
+        ++pair_count;
+      }
+    }
+    double item_avg =
+        pair_count == 0 ? 0.0 : pair_sum / static_cast<double>(pair_count);
+    weighted_sum += item_avg * static_cast<double>(sessions.size()) /
+                    static_cast<double>(total);
+  }
+  return weighted_sum;
+}
+
+TEST(IndependenceMeasureTest, BitIdenticalToPerPairDefinition) {
+  for (DatasetProfile profile : {DatasetProfile::kYC, DatasetProfile::kPM,
+                                 DatasetProfile::kPE}) {
+    auto cs = GenerateProfileClickstream(profile, 0.002, 4);
+    ASSERT_TRUE(cs.ok());
+    for (size_t cap : {2u, 12u, 40u}) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(IndependenceMeasure(*cs, cap)),
+                std::bit_cast<uint64_t>(IndependenceByDefinition(*cs, cap)))
+          << GetProfileSpec(profile).name << " cap " << cap;
+    }
+  }
 }
 
 }  // namespace

@@ -29,6 +29,7 @@
 #include "graph/graph_io.h"
 #include "obs/metrics.h"
 #include "serve/transport.h"
+#include "support/temp_dir.h"
 #include "util/failpoint.h"
 #include "util/random.h"
 #include "util/string_util.h"
@@ -157,8 +158,8 @@ class DistChaosTest : public ::testing::Test {
     auto graph = GenerateUniformGraph(params, &rng);
     ASSERT_TRUE(graph.ok()) << graph.status().ToString();
     graph_ = new PreferenceGraph(std::move(graph).value());
-    graph_path_ =
-        new std::string(::testing::TempDir() + "/dist_chaos_graph.pcg");
+    graph_path_ = new std::string(
+        testing_support::UniqueTempPath("dist_chaos_graph.pcg"));
     ASSERT_TRUE(WriteGraphBinaryFile(*graph_, *graph_path_).ok());
     reference_ = new Solution();
     auto solved = SolveGreedyLazy(*graph_, kBudget, GreedyOptions());

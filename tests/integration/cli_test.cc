@@ -6,8 +6,19 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "clickstream/clickstream_io.h"
+#include "clickstream/graph_construction.h"
+#include "clickstream/variant_selection.h"
+#include "graph/graph_io.h"
+#include "support/temp_dir.h"
+#include "synth/catalog.h"
+#include "synth/preference_model.h"
+#include "synth/session_generator.h"
+#include "util/random.h"
 
 #ifndef PREFCOVER_CLI_PATH
 #error "PREFCOVER_CLI_PATH must be defined by the build"
@@ -19,7 +30,7 @@ namespace {
 std::string CliPath() { return PREFCOVER_CLI_PATH; }
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/cli_test_" + name;
+  return testing_support::UniqueTempPath(name);
 }
 
 // Runs a command line, returns its exit code.
@@ -31,6 +42,22 @@ int RunCli(const std::string& command_line) {
 bool FileNonEmpty(const std::string& path) {
   std::ifstream in(path, std::ios::ate);
   return in.good() && in.tellg() > 0;
+}
+
+std::string Slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+// Runs a command line, captures its stdout and stderr into `*output` and
+// returns its exit code.
+int RunCliCapture(const std::string& command_line, std::string* output) {
+  const std::string captured = TempPath("captured.txt");
+  int rc = std::system((command_line + " > " + captured + " 2>&1").c_str());
+  *output = Slurp(captured);
+  return rc == -1 ? -1 : WEXITSTATUS(rc);
 }
 
 class CliPipelineTest : public ::testing::Test {
@@ -116,17 +143,156 @@ TEST(CliTest, BadFlagFails) {
   EXPECT_NE(RunCli(CliPath() + " generate --bogus-flag=1"), 0);
 }
 
-TEST_F(CliPipelineTest, StreamingConstructMatchesInMemory) {
+// `construct` is byte-for-byte the reference path: the .pcg equals
+// BuildPreferenceGraph(ReadClickstreamCsvFile(..)), and under auto the
+// `variant selection:` line prints RecommendVariant of the same sessions.
+TEST_F(CliPipelineTest, ConstructMatchesReferenceBytes) {
   SetUpPipeline();
-  std::string streamed = TempPath("graph_streamed.pcg");
-  EXPECT_EQ(RunCli(CliPath() + " construct --input=" + clicks_ +
-                   " --streaming --variant=independent --out=" + streamed),
+  // A dwell-bearing stream next to the generated YC one (no dwell column).
+  const std::string dwell_clicks = TempPath("dwell_clicks.csv");
+  {
+    Rng rng(3);
+    CatalogParams catalog_params;
+    catalog_params.num_items = 120;
+    catalog_params.num_categories = 8;
+    auto catalog = Catalog::Generate(catalog_params, &rng);
+    ASSERT_TRUE(catalog.ok());
+    auto model =
+        PreferenceModel::Build(&*catalog, PreferenceModelParams(), &rng);
+    ASSERT_TRUE(model.ok());
+    SessionGeneratorParams session_params;
+    session_params.num_sessions = 3000;
+    session_params.browse_only_share = 0.5;
+    session_params.noise_clicks_mean = 1.0;
+    session_params.emit_dwell_times = true;
+    auto sessions = GenerateSessions(*model, session_params, &rng);
+    ASSERT_TRUE(sessions.ok());
+    ASSERT_TRUE(WriteClickstreamCsvFile(*sessions, dwell_clicks).ok());
+  }
+  ASSERT_NE(Slurp(dwell_clicks).find("dwell_seconds"), std::string::npos);
+
+  for (const std::string& clicks : {clicks_, dwell_clicks}) {
+    auto reference = ReadClickstreamCsvFile(clicks);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    const VariantRecommendation recommendation =
+        RecommendVariant(*reference);
+    for (const std::string variant : {"auto", "independent", "normalized"}) {
+      SCOPED_TRACE(clicks + " --variant=" + variant);
+      const std::string pcg = TempPath("reference_check.pcg");
+      std::string output;
+      ASSERT_EQ(RunCliCapture(CliPath() + " construct --input=" + clicks +
+                                  " --variant=" + variant + " --out=" + pcg,
+                              &output),
+                0)
+          << output;
+
+      GraphConstructionOptions options;
+      if (variant == "auto") {
+        options.variant = recommendation.variant;
+        EXPECT_NE(output.find("variant selection: " +
+                              recommendation.ToString() + "\n"),
+                  std::string::npos)
+            << output;
+      } else {
+        options.variant = *ParseVariant(variant);
+        EXPECT_EQ(output.find("variant selection:"), std::string::npos);
+      }
+      EXPECT_NE(output.find("(variant hint: " +
+                            std::string(VariantName(options.variant)) + ")"),
+                std::string::npos)
+          << output;
+      auto graph = BuildPreferenceGraph(*reference, options);
+      ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+      std::ostringstream expected;
+      ASSERT_TRUE(WriteGraphBinary(*graph, &expected).ok());
+      EXPECT_TRUE(Slurp(pcg) == expected.str());
+    }
+  }
+}
+
+// `solve --clicks` with the default --variant=auto solves with the variant
+// the sessions selected. Here half of item a's purchase sessions click two
+// alternatives and half click none: the sessions select Independent (50%
+// of them have at most one alternative), yet the Independent graph's
+// out-sums are at most 1, so a choice from the graph alone would read
+// Normalized.
+TEST(CliTest, SolveFromClicksUsesSelectedVariant) {
+  const std::string clicks = TempPath("split_sessions.csv");
+  {
+    std::ofstream out(clicks, std::ios::binary);
+    out << "session_id,event_type,item_id\n";
+    for (int s = 1; s <= 10; ++s) {
+      if (s <= 5) out << s << ",click,b\n" << s << ",click,c\n";
+      out << s << ",purchase,a\n";
+    }
+  }
+  std::string output;
+  ASSERT_EQ(RunCliCapture(CliPath() + " solve --clicks=" + clicks + " --k=1",
+                          &output),
+            0)
+      << output;
+  EXPECT_NE(output.find("variant selection: variant=independent "),
+            std::string::npos)
+      << output;
+  EXPECT_NE(output.find("(independent variant)"), std::string::npos)
+      << output;
+}
+
+// Every rejection of the reference reader surfaces through `construct` as
+// InvalidArgument, ungrouped input included.
+TEST(CliTest, ConstructRejectsMalformedClickstreams) {
+  const std::vector<std::string> malformed = {
+      "not,a,clickstream\n1,click,a\n",
+      "session_id,event_type,item_id\n1,click\n",
+      "session_id,event_type,item_id\n1,view,itemA\n",
+      "session_id,event_type,item_id\n1,click,a\n1,purchase,a\n"
+      "1,purchase,b\n",
+      "session_id,event_type,item_id,dwell_seconds\n"
+      "1,click,a,not_a_number\n1,purchase,a,\n",
+      "session_id,event_type,item_id\n1,click,a\n1,purchase,b\n"
+      "2,purchase,a\n1,click,c\n",
+  };
+  for (const std::string& text : malformed) {
+    SCOPED_TRACE(text);
+    const std::string clicks = TempPath("malformed.csv");
+    {
+      std::ofstream out(clicks, std::ios::binary);
+      out << text;
+    }
+    std::string output;
+    EXPECT_EQ(RunCliCapture(CliPath() + " construct --input=" + clicks +
+                                " --out=" + TempPath("malformed.pcg"),
+                            &output),
+              1);
+    EXPECT_NE(output.find("error: InvalidArgument"), std::string::npos)
+        << output;
+  }
+}
+
+// `construct` traces one span per stage and counts what it scanned.
+TEST_F(CliPipelineTest, ConstructWritesTraceAndMetrics) {
+  SetUpPipeline();
+  const std::string trace = TempPath("construct_trace.json");
+  const std::string metrics = TempPath("construct_metrics.json");
+  ASSERT_EQ(RunCli(CliPath() + " construct --input=" + clicks_ +
+                   " --out=" + TempPath("traced.pcg") +
+                   " --trace_out=" + trace + " --metrics_out=" + metrics),
             0);
-  EXPECT_TRUE(FileNonEmpty(streamed));
-  // Streaming without an explicit variant must fail.
-  EXPECT_NE(RunCli(CliPath() + " construct --input=" + clicks_ +
-                   " --streaming --out=" + streamed),
-            0);
+  const std::string trace_text = Slurp(trace);
+  for (const char* span : {"clickstream.scan", "clickstream.variant_select",
+                           "clickstream.build", "graph.write"}) {
+    EXPECT_NE(trace_text.find(std::string("\"") + span + "\""),
+              std::string::npos)
+        << span;
+  }
+  EXPECT_EQ(trace_text.find("clickstream.flush"), std::string::npos);
+  const std::string metrics_text = Slurp(metrics);
+  for (const char* counter : {"clickstream.rows", "clickstream.sessions",
+                              "clickstream.purchases", "clickstream.bytes"}) {
+    EXPECT_NE(metrics_text.find(std::string("\"") + counter + "\""),
+              std::string::npos)
+        << counter;
+  }
 }
 
 TEST_F(CliPipelineTest, SolveWithReportAndConstraints) {

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/temp_dir.h"
 #include "util/failpoint.h"
 
 #ifndef PREFCOVER_CLI_PATH
@@ -26,7 +27,7 @@ namespace {
 std::string CliPath() { return PREFCOVER_CLI_PATH; }
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/kill_resume_test_" + name;
+  return testing_support::UniqueTempPath(name);
 }
 
 // Runs a command line (optionally under an env prefix), returns the shell

@@ -43,8 +43,8 @@
 #include "bench/metrics_json.h"
 #include "bench/pareto_json.h"
 #include "clickstream/clickstream_io.h"
+#include "clickstream/clickstream_scan.h"
 #include "clickstream/graph_construction.h"
-#include "clickstream/streaming_construction.h"
 #include "clickstream/variant_selection.h"
 #include "core/checkpoint.h"
 #include "core/complementary_solver.h"
@@ -130,9 +130,99 @@ int CmdGenerate(int argc, char** argv) {
   return 0;
 }
 
+// --trace_out / --metrics_out, shared by the verbs that run traced work.
+void AddObservabilityFlags(FlagParser* flags) {
+  flags->AddString("trace_out", "",
+                   "write a Chrome trace-event JSON of this run to the "
+                   "path (open in Perfetto / chrome://tracing)");
+  flags->AddString("metrics_out", "",
+                   "write a JSON snapshot of the process metrics registry "
+                   "to the path");
+}
+
+// Arms tracing when constructed, so build it before any traced work runs;
+// Export writes the files. Verbs export on success, cancellation AND
+// failure paths — the trace of a cancelled or failed run is often exactly
+// what one wants to see.
+class ObservabilityExport {
+ public:
+  explicit ObservabilityExport(const FlagParser& flags)
+      : trace_out_(flags.GetString("trace_out")),
+        metrics_out_(flags.GetString("metrics_out")) {
+    if (!trace_out_.empty() && !obs::Tracing::Start()) {
+      std::fprintf(stderr,
+                   "warning: tracing was compiled out "
+                   "(PREFCOVER_ENABLE_TRACING=OFF); %s will be empty\n",
+                   trace_out_.c_str());
+    }
+  }
+
+  Status Export() const {
+    if (!trace_out_.empty()) {
+      PREFCOVER_FAILPOINT_STATUS("trace.export");
+      obs::Tracing::Stop();
+      std::ostringstream json;
+      obs::ChromeTraceSink sink(&json);
+      obs::Tracing::Flush(&sink);
+      PREFCOVER_RETURN_NOT_OK(WriteFileAtomic(trace_out_, json.str()));
+      std::printf(
+          "wrote %s (%llu event(s) dropped to ring overflow)\n",
+          trace_out_.c_str(),
+          static_cast<unsigned long long>(obs::Tracing::DroppedEvents()));
+    }
+    if (!metrics_out_.empty()) {
+      PREFCOVER_FAILPOINT_STATUS("metrics.export");
+      PREFCOVER_RETURN_NOT_OK(WriteFileAtomic(
+          metrics_out_,
+          MetricsSnapshotToJson(obs::MetricsRegistry::Global().Snapshot())
+              .Dump()));
+      std::printf("wrote %s\n", metrics_out_.c_str());
+    }
+    return Status::OK();
+  }
+
+  // Exports (warning if that fails too), then fails with `status`.
+  int Fail(const Status& status) const {
+    Status obs_st = Export();
+    if (!obs_st.ok()) {
+      std::fprintf(stderr, "warning: %s\n", obs_st.ToString().c_str());
+    }
+    return ::Fail(status);
+  }
+
+ private:
+  const std::string trace_out_;
+  const std::string metrics_out_;
+};
+
+// The one ingestion path, shared by `construct` and `solve --clicks`: one
+// scan of the CSV that keeps only purchase sessions, then the variant
+// (`auto` applies the paper's selection rules to those sessions and prints
+// the measures), then the graph.
+Result<PreferenceGraph> ConstructFromClicks(const std::string& path,
+                                            const std::string& variant_flag,
+                                            GraphConstructionOptions* options) {
+  const bool auto_variant = variant_flag == "auto";
+  if (!auto_variant) {
+    PREFCOVER_ASSIGN_OR_RETURN(options->variant, ParseVariant(variant_flag));
+  }
+  PREFCOVER_ASSIGN_OR_RETURN(ClickstreamScan scan,
+                             ScanClickstreamFile(path, options->cancel));
+  if (auto_variant) {
+    obs::Span span("clickstream.variant_select", "clickstream");
+    VariantRecommendation rec = RecommendVariant(scan.purchase_sessions);
+    std::printf("variant selection: %s\n", rec.ToString().c_str());
+    options->variant = rec.variant;
+  }
+  obs::Span span("clickstream.build", "clickstream");
+  return BuildPreferenceGraph(scan.purchase_sessions, *options);
+}
+
 int CmdConstruct(int argc, char** argv) {
   FlagParser flags(
-      "prefcover construct: clickstream CSV -> preference graph (.pcg)");
+      "prefcover construct: clickstream CSV -> preference graph (.pcg). "
+      "One scan keeps only the purchase sessions, so memory scales with "
+      "their clicks; the CSV must be grouped by session_id");
   flags.AddString("input", "clickstream.csv", "clickstream CSV path");
   flags.AddString("out", "graph.pcg", "output graph path");
   flags.AddString("variant", "auto",
@@ -141,51 +231,29 @@ int CmdConstruct(int argc, char** argv) {
   flags.AddDouble("min-edge-weight", 0.0, "drop edges weaker than this");
   flags.AddInt("min-purchases", 0,
                "drop edges out of items with fewer purchases");
-  flags.AddBool("streaming", false,
-                "single-pass construction without loading sessions into "
-                "memory (for very large inputs; requires an explicit "
-                "--variant)");
+  AddObservabilityFlags(&flags);
   if (int rc = ParseOrExit(&flags, argc, argv); rc != 0) return rc == 2 ? 0 : 1;
+  ObservabilityExport observability(flags);
 
   GraphConstructionOptions options;
   options.min_edge_weight = flags.GetDouble("min-edge-weight");
   options.min_purchases_for_edges =
       static_cast<size_t>(flags.GetInt("min-purchases"));
-  const std::string& variant_flag = flags.GetString("variant");
-
-  Result<PreferenceGraph> graph = Status::Internal("unset");
-  if (flags.GetBool("streaming")) {
-    // Variant selection needs the sessions in memory; the streaming path
-    // therefore requires the caller to commit to a variant.
-    auto variant = ParseVariant(variant_flag);
-    if (!variant.ok()) {
-      return Fail(Status::InvalidArgument(
-          "--streaming requires --variant=independent|normalized"));
-    }
-    options.variant = *variant;
-    graph = BuildPreferenceGraphStreamingFile(flags.GetString("input"),
-                                              options);
-  } else {
-    auto cs = ReadClickstreamCsvFile(flags.GetString("input"));
-    if (!cs.ok()) return Fail(cs.status());
-    if (variant_flag == "auto") {
-      VariantRecommendation rec = RecommendVariant(*cs);
-      std::printf("variant selection: %s\n", rec.ToString().c_str());
-      options.variant = rec.variant;
-    } else {
-      auto variant = ParseVariant(variant_flag);
-      if (!variant.ok()) return Fail(variant.status());
-      options.variant = *variant;
-    }
-    graph = BuildPreferenceGraph(*cs, options);
+  auto graph = ConstructFromClicks(flags.GetString("input"),
+                                   flags.GetString("variant"), &options);
+  if (!graph.ok()) return observability.Fail(graph.status());
+  Status st;
+  {
+    obs::Span span("graph.write", "graph");
+    st = WriteGraphBinaryFile(*graph, flags.GetString("out"));
   }
-  if (!graph.ok()) return Fail(graph.status());
-  Status st = WriteGraphBinaryFile(*graph, flags.GetString("out"));
-  if (!st.ok()) return Fail(st);
+  if (!st.ok()) return observability.Fail(st);
   std::printf("wrote %s: %zu nodes, %zu edges (variant hint: %s)\n",
               flags.GetString("out").c_str(), graph->NumNodes(),
               graph->NumEdges(),
               std::string(VariantName(options.variant)).c_str());
+  st = observability.Export();
+  if (!st.ok()) return Fail(st);
   return 0;
 }
 
@@ -359,7 +427,10 @@ int CmdSolve(int argc, char** argv) {
   FlagParser flags("prefcover solve: select k items maximizing the cover");
   flags.AddString("graph", "graph.pcg", "graph path");
   flags.AddInt("k", 100, "number of items to retain");
-  flags.AddString("variant", "auto", "independent|normalized|auto");
+  flags.AddString("variant", "auto",
+                  "independent|normalized|auto (auto: selected from the "
+                  "sessions with --clicks, else Normalized when the graph "
+                  "admits it)");
   flags.AddString("algorithm", "lazy",
                   "greedy|lazy|parallel|lazy-parallel|constrained|"
                   "topk-w|topk-c|random");
@@ -388,15 +459,11 @@ int CmdSolve(int argc, char** argv) {
                   "comma-separated item ids that must not be retained "
                   "(greedy algorithms only)");
   flags.AddString("clicks", "",
-                  "clickstream CSV to construct the graph from in-process "
-                  "(streaming, instead of --graph; requires an explicit "
-                  "--variant)");
-  flags.AddString("trace_out", "",
-                  "write a Chrome trace-event JSON of this run to the "
-                  "path (open in Perfetto / chrome://tracing)");
-  flags.AddString("metrics_out", "",
-                  "write a JSON snapshot of the process metrics registry "
-                  "to the path");
+                  "clickstream CSV to construct the graph from in-process, "
+                  "instead of --graph: the same ingestion as `construct` "
+                  "(grouped by session_id; --variant=auto selects the "
+                  "construction variant from the data)");
+  AddObservabilityFlags(&flags);
   flags.AddInt("deadline_ms", 0,
                "wall-clock budget in milliseconds; 0 = none. An expired "
                "deadline returns the best prefix found so far (exit 0, "
@@ -445,67 +512,25 @@ int CmdSolve(int argc, char** argv) {
   ScopedSignalCancel signal_hookup(&cancel);
 
   // Arm tracing before any traced work (construction included) runs.
-  const std::string& trace_out = flags.GetString("trace_out");
-  if (!trace_out.empty() && !obs::Tracing::Start()) {
-    std::fprintf(stderr,
-                 "warning: tracing was compiled out "
-                 "(PREFCOVER_ENABLE_TRACING=OFF); %s will be empty\n",
-                 trace_out.c_str());
-  }
-
-  // Exports run on success, cancellation AND failure paths — the trace
-  // of a cancelled or failed run is often exactly what one wants to see.
-  auto export_observability = [&flags, &trace_out]() -> Status {
-    if (!trace_out.empty()) {
-      PREFCOVER_FAILPOINT_STATUS("trace.export");
-      obs::Tracing::Stop();
-      std::ostringstream json;
-      obs::ChromeTraceSink sink(&json);
-      obs::Tracing::Flush(&sink);
-      PREFCOVER_RETURN_NOT_OK(WriteFileAtomic(trace_out, json.str()));
-      std::printf(
-          "wrote %s (%llu event(s) dropped to ring overflow)\n",
-          trace_out.c_str(),
-          static_cast<unsigned long long>(obs::Tracing::DroppedEvents()));
-    }
-    const std::string& metrics_out = flags.GetString("metrics_out");
-    if (!metrics_out.empty()) {
-      PREFCOVER_FAILPOINT_STATUS("metrics.export");
-      PREFCOVER_RETURN_NOT_OK(WriteFileAtomic(
-          metrics_out,
-          MetricsSnapshotToJson(obs::MetricsRegistry::Global().Snapshot())
-              .Dump()));
-      std::printf("wrote %s\n", metrics_out.c_str());
-    }
-    return Status::OK();
-  };
-  auto fail_with_observability = [&export_observability](
-                                     const Status& status) {
-    Status obs_st = export_observability();
-    if (!obs_st.ok()) {
-      std::fprintf(stderr, "warning: %s\n", obs_st.ToString().c_str());
-    }
-    return Fail(status);
-  };
+  ObservabilityExport observability(flags);
 
   Result<PreferenceGraph> graph = Status::Internal("unset");
+  Result<Variant> variant = Status::Internal("unset");
   if (!flags.GetString("clicks").empty()) {
-    auto clicks_variant = ParseVariant(flags.GetString("variant"));
-    if (!clicks_variant.ok()) {
-      return Fail(Status::InvalidArgument(
-          "--clicks requires --variant=independent|normalized (streaming "
-          "construction cannot auto-select)"));
-    }
+    // Solve with the variant the graph was built with: --variant=auto
+    // chose it from the sessions, which the graph alone cannot repeat.
     GraphConstructionOptions construction;
-    construction.variant = *clicks_variant;
     construction.cancel = &cancel;
-    graph = BuildPreferenceGraphStreamingFile(flags.GetString("clicks"),
-                                              construction);
+    graph = ConstructFromClicks(flags.GetString("clicks"),
+                                flags.GetString("variant"), &construction);
+    variant = construction.variant;
   } else {
     graph = ReadGraphBinaryFile(flags.GetString("graph"));
+    if (graph.ok()) {
+      variant = ResolveVariant(flags.GetString("variant"), *graph);
+    }
   }
-  if (!graph.ok()) return fail_with_observability(graph.status());
-  auto variant = ResolveVariant(flags.GetString("variant"), *graph);
+  if (!graph.ok()) return observability.Fail(graph.status());
   if (!variant.ok()) return Fail(variant.status());
 
   const std::string& algo_name = flags.GetString("algorithm");
@@ -637,7 +662,7 @@ int CmdSolve(int argc, char** argv) {
     sweep.num_points = static_cast<size_t>(pareto_points);
     sweep.max_items = k;
     auto frontier = SolveParetoFrontier(*graph, sweep);
-    if (!frontier.ok()) return fail_with_observability(frontier.status());
+    if (!frontier.ok()) return observability.Fail(frontier.status());
     ParetoArtifactMeta meta;
     meta.instance = !flags.GetString("clicks").empty()
                         ? flags.GetString("clicks")
@@ -646,12 +671,12 @@ int CmdSolve(int argc, char** argv) {
     meta.num_nodes = graph->NumNodes();
     meta.points_requested = static_cast<size_t>(pareto_points);
     Status pareto_st = WriteParetoArtifact(pareto_out, *frontier, meta);
-    if (!pareto_st.ok()) return fail_with_observability(pareto_st);
+    if (!pareto_st.ok()) return observability.Fail(pareto_st);
     std::printf("wrote %s (pareto frontier: %zu non-dominated point(s), "
                 "%lld budget(s) swept)\n",
                 pareto_out.c_str(), frontier->size(),
                 static_cast<long long>(pareto_points));
-    Status export_st = export_observability();
+    Status export_st = observability.Export();
     if (!export_st.ok()) return Fail(export_st);
     return 0;
   }
@@ -714,7 +739,7 @@ int CmdSolve(int argc, char** argv) {
                          threads)
           : RunAlgorithm(algorithm, *graph, k, greedy_options, &rng,
                          threads);
-  if (!solution.ok()) return fail_with_observability(solution.status());
+  if (!solution.ok()) return observability.Fail(solution.status());
 
   std::printf("%s (%s variant): retained %zu of %zu items, cover %.4f%% "
               "in %s\n",
@@ -775,7 +800,7 @@ int CmdSolve(int argc, char** argv) {
                 flags.GetString("index_out").c_str(), index->NumNodes(),
                 index->NumRetained(), index->top_m());
   }
-  Status export_st = export_observability();
+  Status export_st = observability.Export();
   if (!export_st.ok()) return Fail(export_st);
   // A deadline-truncated solve exits 0 — the user asked for a time budget
   // and got the best solution it bought. A signal-truncated one exits
