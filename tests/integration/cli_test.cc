@@ -1,9 +1,16 @@
 // End-to-end tests of the `prefcover` CLI binary: each subcommand is run
 // as a real subprocess against temp files, exactly as a user would.
 
+#include <fcntl.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <thread>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,6 +21,7 @@
 #include "clickstream/graph_construction.h"
 #include "clickstream/variant_selection.h"
 #include "graph/graph_io.h"
+#include "serve/transport.h"
 #include "support/temp_dir.h"
 #include "synth/catalog.h"
 #include "synth/preference_model.h"
@@ -295,6 +303,54 @@ TEST_F(CliPipelineTest, ConstructWritesTraceAndMetrics) {
   }
 }
 
+TEST_F(CliPipelineTest, GenerateThresholdExportWriteTraceAndMetrics) {
+  SetUpPipeline();
+  // Without the flags, generate's stdout is the output path, then the
+  // clickstream stats that scripts parse from the second line on; no
+  // export lines.
+  std::string plain;
+  const std::string plain_csv = TempPath("plain.csv");
+  ASSERT_EQ(RunCliCapture(CliPath() + " generate --profile=YC --scale=0.002" +
+                              " --out=" + plain_csv + " 2>/dev/null",
+                          &plain),
+            0);
+  EXPECT_EQ(plain.rfind("wrote " + plain_csv + "\n", 0), 0u) << plain;
+  EXPECT_EQ(plain.find("wrote ", 1), std::string::npos) << plain;
+  EXPECT_EQ(plain.find("\nsessions="), plain.find('\n')) << plain;
+
+  struct Verb {
+    std::string args;
+    std::vector<const char*> spans;
+  };
+  const std::vector<Verb> verbs = {
+      {"generate --profile=YC --scale=0.002 --out=" + TempPath("traced.csv"),
+       {"synth.generate", "clickstream.write"}},
+      {"threshold --graph=" + graph_ + " --coverage=0.5",
+       {"graph.read", "solver.solve"}},
+      {"export --graph=" + graph_ + " --nodes=" + TempPath("n.csv") +
+           " --edges=" + TempPath("e.csv"),
+       {"graph.read", "graph.write_csv"}},
+  };
+  for (size_t i = 0; i < verbs.size(); ++i) {
+    const std::string trace = TempPath("verb_trace" + std::to_string(i));
+    const std::string metrics = TempPath("verb_metrics" + std::to_string(i));
+    std::string out;
+    ASSERT_EQ(RunCliCapture(CliPath() + " " + verbs[i].args +
+                                " --trace_out=" + trace +
+                                " --metrics_out=" + metrics,
+                            &out),
+              0)
+        << verbs[i].args << "\n" << out;
+    const std::string trace_text = Slurp(trace);
+    for (const char* span : verbs[i].spans) {
+      EXPECT_NE(trace_text.find(std::string("\"") + span + "\""),
+                std::string::npos)
+          << verbs[i].args << ": " << span;
+    }
+    EXPECT_TRUE(FileNonEmpty(metrics)) << verbs[i].args;
+  }
+}
+
 TEST_F(CliPipelineTest, SolveWithReportAndConstraints) {
   SetUpPipeline();
   std::string coverage = TempPath("coverage.csv");
@@ -466,6 +522,109 @@ TEST_F(CliPipelineTest, ServeExposesLiveMetricsAndSnapshotDump) {
             std::string::npos);
   EXPECT_NE(snapshot_text.str().find("\"serve.latency_us\""),
             std::string::npos);
+}
+
+// Forks `prefcover serve --port=<port>` on a port the kernel just handed
+// out (serve's --port=0 means stdin), with stderr on a pipe, and waits
+// for its "listening on" line. Returns the pid (or -1), sets *port and
+// hands over the pipe's read end in *stderr_fd.
+pid_t SpawnTcpServer(const std::string& index, uint16_t* port,
+                     int* stderr_fd) {
+  auto probe = serve::ListenTcp(0);
+  if (!probe.ok()) return -1;
+  auto free_port = serve::LocalPort(*probe);
+  ::close(*probe);
+  if (!free_port.ok()) return -1;
+  int pipe_fds[2];
+  if (::pipe(pipe_fds) != 0) return -1;
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    ::close(pipe_fds[0]);
+    ::close(pipe_fds[1]);
+    return -1;
+  }
+  if (pid == 0) {
+    ::close(pipe_fds[0]);
+    ::dup2(::open("/dev/null", O_RDONLY), STDIN_FILENO);
+    ::dup2(pipe_fds[1], STDERR_FILENO);
+    ::close(pipe_fds[1]);
+    const std::string index_flag = "--index=" + index;
+    const std::string port_flag = "--port=" + std::to_string(*free_port);
+    const std::string cli = CliPath();
+    ::execl(cli.c_str(), cli.c_str(), "serve", index_flag.c_str(),
+            port_flag.c_str(), static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+  ::close(pipe_fds[1]);
+  std::string text;
+  const std::string prefix = "listening on 127.0.0.1:";
+  char ch;
+  while (::read(pipe_fds[0], &ch, 1) == 1) {
+    text.push_back(ch);
+    const size_t at = text.find(prefix);
+    if (ch == '\n' && at != std::string::npos) {
+      *port = static_cast<uint16_t>(
+          std::atoi(text.c_str() + at + prefix.size()));
+      break;
+    }
+  }
+  *stderr_fd = pipe_fds[0];
+  return pid;
+}
+
+TEST_F(CliPipelineTest, ShutdownEndsServerWithAnIdleClientConnected) {
+  SetUpPipeline();
+  const std::string index = TempPath("shutdown_index.pcsidx");
+  ASSERT_EQ(RunCli(CliPath() + " solve --graph=" + graph_ +
+                   " --k=15 --index_out=" + index),
+            0);
+  serve::IgnoreSigpipe();
+  uint16_t port = 0;
+  int stderr_fd = -1;
+  const pid_t pid = SpawnTcpServer(index, &port, &stderr_fd);
+  ASSERT_GT(pid, 0);
+  ASSERT_GT(port, 0);
+
+  auto exchange = [](int fd, const std::string& line) {
+    std::string reply;
+    if (!serve::WriteFully(fd, line.data(), line.size()).ok()) return reply;
+    char chunk[256];
+    while (reply.find('\n') == std::string::npos) {
+      auto got = serve::ReadSome(fd, chunk, sizeof(chunk));
+      if (!got.ok() || *got == 0) break;
+      reply.append(chunk, *got);
+    }
+    return reply;
+  };
+  // One answered request, so the idle client's session is surely blocked
+  // reading its next line when the shutdown arrives.
+  auto idle = serve::ConnectTcp("127.0.0.1", port, 2000);
+  ASSERT_TRUE(idle.ok());
+  EXPECT_EQ(exchange(*idle, "covered 0\n").rfind("OK covered ", 0), 0u);
+  auto control = serve::ConnectTcp("127.0.0.1", port, 2000);
+  ASSERT_TRUE(control.ok());
+  EXPECT_EQ(exchange(*control, "shutdown\n"), "OK bye\n");
+
+  int status = 0;
+  bool exited = false;
+  for (int i = 0; i < 500 && !exited; ++i) {
+    exited = ::waitpid(pid, &status, WNOHANG) == pid;
+    if (!exited) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (!exited) {
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, &status, 0);
+  }
+  EXPECT_TRUE(exited) << "server still running 5 s after `shutdown` while "
+                         "an idle client stayed connected";
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  // The idle client sees the server close its connection.
+  char byte;
+  auto got = serve::ReadSome(*idle, &byte, 1);
+  EXPECT_TRUE(!got.ok() || *got == 0);
+  ::close(*idle);
+  ::close(*control);
+  ::close(stderr_fd);
 }
 
 TEST(CliTest, ConstructWithExplicitVariant) {

@@ -8,11 +8,11 @@
 //               CoverOfItem and an independent sort/truncate of the
 //               substitute lists (no serve/ code involved);
 //   direct    — AnswerOnIndex on the built ServingIndex;
-//   engine    — the full QueryEngine path (queue, batch, cache).
+//   engine    — the QueryEngine, both for a parsed request and for the
+//               protocol line the server hands it.
 //
 // Any divergence — a reordered substitute, a probability formatted from a
-// rounded value, a cache serving a stale line — fails with the exact
-// request that differed.
+// rounded value — fails with the exact request that differed.
 
 #include <algorithm>
 #include <memory>
@@ -139,10 +139,11 @@ TEST(ServeDifferentialTest, EveryAnswerMatchesDirectLookup) {
               << "covered " << v << " (direct)";
           EXPECT_EQ(engine.SubmitAndWait(request).line, expected)
               << "covered " << v << " (engine)";
+          EXPECT_EQ(engine.AnswerLine("covered " + std::to_string(v)),
+                    expected)
+              << "covered " << v << " (engine line)";
         }
-        // subs at several j — issued twice through the engine so the
-        // second pass exercises the cache path, which must be
-        // byte-identical too.
+        // subs at several j, as a request and as a protocol line.
         for (uint32_t top_j : top_js) {
           Request request;
           request.type = QueryType::kSubstitutes;
@@ -152,9 +153,11 @@ TEST(ServeDifferentialTest, EveryAnswerMatchesDirectLookup) {
           EXPECT_EQ(AnswerOnIndex(*index, request).line, expected)
               << "subs " << v << " " << top_j << " (direct)";
           EXPECT_EQ(engine.SubmitAndWait(request).line, expected)
-              << "subs " << v << " " << top_j << " (engine, cold)";
-          EXPECT_EQ(engine.SubmitAndWait(request).line, expected)
-              << "subs " << v << " " << top_j << " (engine, cached)";
+              << "subs " << v << " " << top_j << " (engine)";
+          EXPECT_EQ(engine.AnswerLine("subs " + std::to_string(v) + " " +
+                                      std::to_string(top_j)),
+                    expected)
+              << "subs " << v << " " << top_j << " (engine line)";
         }
       }
 
@@ -170,6 +173,7 @@ TEST(ServeDifferentialTest, EveryAnswerMatchesDirectLookup) {
             "OK coverk " + FormatProbability(expected_value);
         EXPECT_EQ(AnswerOnIndex(*index, request).line, expected);
         EXPECT_EQ(engine.SubmitAndWait(request).line, expected);
+        EXPECT_EQ(engine.AnswerLine("coverk " + std::to_string(k)), expected);
       }
 
       // batch: bits agree with per-node covered answers.

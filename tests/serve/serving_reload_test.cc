@@ -1,8 +1,7 @@
 // Hot-reload integration: a live catalog drifts, the InventoryMaintainer
 // re-solves, a new ServingIndex is built from the maintained set and
 // atomically swapped into a QueryEngine while reader threads keep
-// querying. Run under TSan in CI — the RCU swap and the per-snapshot
-// cache must be race-free.
+// querying. Run under TSan in CI — the snapshot swap must be race-free.
 
 #include <atomic>
 #include <chrono>

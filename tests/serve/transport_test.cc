@@ -18,6 +18,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "core/greedy_solver.h"
@@ -26,6 +28,7 @@
 #include "serve/query_engine.h"
 #include "serve/server.h"
 #include "serve/serving_index.h"
+#include "support/temp_dir.h"
 #endif
 
 namespace prefcover {
@@ -174,8 +177,8 @@ TEST(TaggedLineTest, TagBindsToFirstSpaceOnly) {
 
 #if defined(__unix__) || defined(__APPLE__)
 
-std::shared_ptr<const ServingIndex> MakeIndex() {
-  Rng rng(3);
+std::shared_ptr<const ServingIndex> MakeIndex(uint64_t seed = 3) {
+  Rng rng(seed);
   UniformGraphParams params;
   params.num_nodes = 60;
   params.out_degree = 4;
@@ -319,6 +322,139 @@ TEST(ServeConnectionLoopTest, ShutdownVerbStopsAccepting) {
   server.join();
   EXPECT_FALSE(keep_serving);
   ::close(fds[1]);
+}
+
+// Reads one newline-terminated line from `fd`, buffering the excess in
+// `*pending`. Returns false on EOF or error.
+bool ReadLine(int fd, std::string* pending, std::string* line) {
+  char chunk[4096];
+  size_t eol = 0;
+  while ((eol = pending->find('\n')) == std::string::npos) {
+    auto got = ReadSome(fd, chunk, sizeof(chunk));
+    if (!got.ok() || *got == 0) return false;
+    pending->append(chunk, *got);
+  }
+  *line = pending->substr(0, eol);
+  pending->erase(0, eol + 1);
+  return true;
+}
+
+TEST(ServeTcpTest, PipelinedAnswersStayInOrderAcrossReloads) {
+  // Two indexes over the same 60 ids (k = 12 each), saved for `reload`.
+  auto first = MakeIndex(3);
+  auto second = MakeIndex(99);
+  const std::string first_path = testing_support::UniqueTempPath("a.pcsidx");
+  const std::string second_path =
+      testing_support::UniqueTempPath("b.pcsidx");
+  ASSERT_TRUE(first->Save(first_path).ok());
+  ASSERT_TRUE(second->Save(second_path).ok());
+
+  // A `prefcover serve --port` in miniature: one session thread per
+  // connection.
+  IgnoreSigpipe();
+  QueryEngine engine(first);
+  auto listener = ListenTcp(0);
+  ASSERT_TRUE(listener.ok());
+  auto port = LocalPort(*listener);
+  ASSERT_TRUE(port.ok());
+  std::vector<std::thread> sessions;
+  std::thread acceptor([&sessions, &engine, fd = *listener] {
+    for (;;) {
+      auto conn = AcceptClient(fd);
+      if (!conn.ok()) return;
+      sessions.emplace_back(
+          [&engine, c = *conn] { ServeConnectionLoop(&engine, c); });
+    }
+  });
+
+  // Connection 2 alternates reloads until the query stream is done.
+  std::atomic<bool> queries_done{false};
+  std::atomic<bool> reloader_done{false};
+  std::atomic<int> reloads{0};
+  std::thread reloader([&] {
+    struct MarkDone {
+      std::atomic<bool>* done;
+      ~MarkDone() { done->store(true); }
+    } mark_done{&reloader_done};
+    auto fd = ConnectTcp("127.0.0.1", *port, 5000);
+    ASSERT_TRUE(fd.ok());
+    std::string pending, reply;
+    while (!queries_done.load()) {
+      const std::string line =
+          "reload " + (reloads.load() % 2 == 0 ? second_path : first_path) +
+          "\n";
+      ASSERT_TRUE(WriteFully(*fd, line.data(), line.size()).ok());
+      ASSERT_TRUE(ReadLine(*fd, &pending, &reply));
+      ASSERT_EQ(reply, "OK reload 12");
+      reloads.fetch_add(1);
+    }
+    ::close(*fd);
+  });
+
+  // Connection 1 pipelines tagged queries in bursts; a reader thread
+  // takes the replies while later bursts are still being written.
+  constexpr int kBursts = 8;
+  constexpr int kPerBurst = 200;
+  std::vector<std::string> queries;
+  for (int i = 0; i < kBursts * kPerBurst; ++i) {
+    const int v = (i * 7) % 60;
+    switch (i % 3) {
+      case 0:
+        queries.push_back("covered " + std::to_string(v));
+        break;
+      case 1:
+        queries.push_back("subs " + std::to_string(v) + " 4");
+        break;
+      default:
+        queries.push_back("coverk " + std::to_string(i % 13));
+        break;
+    }
+  }
+  auto client = ConnectTcp("127.0.0.1", *port, 5000);
+  ASSERT_TRUE(client.ok());
+  std::vector<std::string> replies;
+  std::thread reader([&replies, fd = *client] {
+    std::string pending, line;
+    while (replies.size() < kBursts * kPerBurst &&
+           ReadLine(fd, &pending, &line)) {
+      replies.push_back(line);
+    }
+  });
+  for (int burst = 0; burst < kBursts; ++burst) {
+    // Gate each burst on reload progress so queries and swaps interleave
+    // even on a single core.
+    while (reloads.load() < burst && !reloader_done.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::string blob;
+    for (int i = burst * kPerBurst; i < (burst + 1) * kPerBurst; ++i) {
+      blob += "@" + std::to_string(i) + " " +
+              queries[static_cast<size_t>(i)] + "\n";
+    }
+    ASSERT_TRUE(WriteFully(*client, blob.data(), blob.size()).ok());
+  }
+  reader.join();
+  queries_done.store(true);
+  reloader.join();
+  ::close(*client);
+  ::shutdown(*listener, SHUT_RDWR);
+  acceptor.join();
+  for (std::thread& session : sessions) session.join();
+  ::close(*listener);
+
+  EXPECT_GE(reloads.load(), kBursts - 1);
+  ASSERT_EQ(replies.size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    uint64_t tag = 0;
+    std::string_view answer;
+    ASSERT_TRUE(ParseTaggedLine(replies[i], &tag, &answer)) << replies[i];
+    ASSERT_EQ(tag, i) << "reply out of order";
+    const Request request = ParseRequest(queries[i]).value();
+    const std::string on_first = AnswerOnIndex(*first, request).line;
+    const std::string on_second = AnswerOnIndex(*second, request).line;
+    EXPECT_TRUE(answer == on_first || answer == on_second)
+        << queries[i] << " -> " << answer;
+  }
 }
 
 // --- MultiplexedConnection ------------------------------------------------

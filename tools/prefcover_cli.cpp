@@ -35,8 +35,9 @@
 #include <unistd.h>
 #endif
 
-#include <atomic>
-#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <set>
 #include <thread>
 
 #include "bench/env_capture.h"
@@ -108,28 +109,6 @@ int ParseOrExit(FlagParser* flags, int argc, char** argv) {
   return 0;
 }
 
-int CmdGenerate(int argc, char** argv) {
-  FlagParser flags("prefcover generate: synthesize a clickstream CSV");
-  flags.AddString("profile", "YC", "dataset profile: PE|PF|PM|YC");
-  flags.AddDouble("scale", 0.01, "scale factor in (0,1]");
-  flags.AddInt("seed", 42, "RNG seed");
-  flags.AddString("out", "clickstream.csv", "output CSV path");
-  if (int rc = ParseOrExit(&flags, argc, argv); rc != 0) return rc == 2 ? 0 : 1;
-
-  auto profile = ParseProfileName(flags.GetString("profile"));
-  if (!profile.ok()) return Fail(profile.status());
-  auto cs = GenerateProfileClickstream(
-      *profile, flags.GetDouble("scale"),
-      static_cast<uint64_t>(flags.GetInt("seed")));
-  if (!cs.ok()) return Fail(cs.status());
-  Status st = WriteClickstreamCsvFile(*cs, flags.GetString("out"));
-  if (!st.ok()) return Fail(st);
-  ClickstreamStats stats = cs->ComputeStats();
-  std::printf("wrote %s\n%s\n", flags.GetString("out").c_str(),
-              stats.ToString().c_str());
-  return 0;
-}
-
 // --trace_out / --metrics_out, shared by the verbs that run traced work.
 void AddObservabilityFlags(FlagParser* flags) {
   flags->AddString("trace_out", "",
@@ -195,6 +174,39 @@ class ObservabilityExport {
   const std::string metrics_out_;
 };
 
+int CmdGenerate(int argc, char** argv) {
+  FlagParser flags("prefcover generate: synthesize a clickstream CSV");
+  flags.AddString("profile", "YC", "dataset profile: PE|PF|PM|YC");
+  flags.AddDouble("scale", 0.01, "scale factor in (0,1]");
+  flags.AddInt("seed", 42, "RNG seed");
+  flags.AddString("out", "clickstream.csv", "output CSV path");
+  AddObservabilityFlags(&flags);
+  if (int rc = ParseOrExit(&flags, argc, argv); rc != 0) return rc == 2 ? 0 : 1;
+  ObservabilityExport observability(flags);
+
+  auto profile = ParseProfileName(flags.GetString("profile"));
+  if (!profile.ok()) return observability.Fail(profile.status());
+  auto cs = [&] {
+    obs::Span span("synth.generate", "synth");
+    return GenerateProfileClickstream(
+        *profile, flags.GetDouble("scale"),
+        static_cast<uint64_t>(flags.GetInt("seed")));
+  }();
+  if (!cs.ok()) return observability.Fail(cs.status());
+  Status st;
+  {
+    obs::Span span("clickstream.write", "clickstream");
+    st = WriteClickstreamCsvFile(*cs, flags.GetString("out"));
+  }
+  if (!st.ok()) return observability.Fail(st);
+  ClickstreamStats stats = cs->ComputeStats();
+  std::printf("wrote %s\n%s\n", flags.GetString("out").c_str(),
+              stats.ToString().c_str());
+  st = observability.Export();
+  if (!st.ok()) return Fail(st);
+  return 0;
+}
+
 // The one ingestion path, shared by `construct` and `solve --clicks`: one
 // scan of the CSV that keeps only purchase sessions, then the variant
 // (`auto` applies the paper's selection rules to those sessions and prints
@@ -255,6 +267,12 @@ int CmdConstruct(int argc, char** argv) {
   st = observability.Export();
   if (!st.ok()) return Fail(st);
   return 0;
+}
+
+// ReadGraphBinaryFile under a `graph.read` span.
+Result<PreferenceGraph> ReadGraphTraced(const std::string& path) {
+  obs::Span span("graph.read", "graph");
+  return ReadGraphBinaryFile(path);
 }
 
 int CmdStats(int argc, char** argv) {
@@ -815,20 +833,24 @@ int CmdThreshold(int argc, char** argv) {
   flags.AddDouble("coverage", 0.8, "coverage target in [0,1]");
   flags.AddString("variant", "auto", "independent|normalized|auto");
   flags.AddString("out", "", "optional CSV for the retained items");
+  AddObservabilityFlags(&flags);
   if (int rc = ParseOrExit(&flags, argc, argv); rc != 0) return rc == 2 ? 0 : 1;
+  ObservabilityExport observability(flags);
 
-  auto graph = ReadGraphBinaryFile(flags.GetString("graph"));
-  if (!graph.ok()) return Fail(graph.status());
+  auto graph = ReadGraphTraced(flags.GetString("graph"));
+  if (!graph.ok()) return observability.Fail(graph.status());
   auto variant = ResolveVariant(flags.GetString("variant"), *graph);
-  if (!variant.ok()) return Fail(variant.status());
+  if (!variant.ok()) return observability.Fail(variant.status());
 
   auto result = SolveCoverageThreshold(*graph, flags.GetDouble("coverage"),
                                        *variant,
                                        ThresholdAlgorithm::kGreedy);
-  if (!result.ok()) return Fail(result.status());
+  if (!result.ok()) return observability.Fail(result.status());
   if (!result->reached) {
     std::printf("target unreachable: full catalog covers %.4f%%\n",
                 result->solution.cover * 100.0);
+    Status st = observability.Export();
+    if (!st.ok()) return Fail(st);
     return 1;
   }
   std::printf("%zu items (%.2f%% of the catalog) cover %.4f%%\n",
@@ -839,8 +861,10 @@ int CmdThreshold(int argc, char** argv) {
   if (!flags.GetString("out").empty()) {
     Status st =
         WriteSolutionCsv(*graph, result->solution, flags.GetString("out"));
-    if (!st.ok()) return Fail(st);
+    if (!st.ok()) return observability.Fail(st);
   }
+  Status st = observability.Export();
+  if (!st.ok()) return Fail(st);
   return 0;
 }
 
@@ -849,20 +873,78 @@ int CmdExport(int argc, char** argv) {
   flags.AddString("graph", "graph.pcg", "graph path");
   flags.AddString("nodes", "nodes.csv", "output node CSV");
   flags.AddString("edges", "edges.csv", "output edge CSV");
+  AddObservabilityFlags(&flags);
   if (int rc = ParseOrExit(&flags, argc, argv); rc != 0) return rc == 2 ? 0 : 1;
-  auto graph = ReadGraphBinaryFile(flags.GetString("graph"));
-  if (!graph.ok()) return Fail(graph.status());
+  ObservabilityExport observability(flags);
+
+  auto graph = ReadGraphTraced(flags.GetString("graph"));
+  if (!graph.ok()) return observability.Fail(graph.status());
   std::ofstream nodes(flags.GetString("nodes"));
   std::ofstream edges(flags.GetString("edges"));
   if (!nodes || !edges) {
-    return Fail(Status::IOError("cannot open output files"));
+    return observability.Fail(Status::IOError("cannot open output files"));
   }
-  Status st = WriteGraphCsv(*graph, &nodes, &edges);
-  if (!st.ok()) return Fail(st);
+  Status st;
+  {
+    obs::Span span("graph.write_csv", "graph");
+    st = WriteGraphCsv(*graph, &nodes, &edges);
+  }
+  if (!st.ok()) return observability.Fail(st);
   std::printf("wrote %s and %s\n", flags.GetString("nodes").c_str(),
               flags.GetString("edges").c_str());
+  st = observability.Export();
+  if (!st.ok()) return Fail(st);
   return 0;
 }
+
+#if defined(__unix__)
+// The live sessions of `serve --port`. Stop() shuts the read side of
+// every session socket, so sessions blocked reading from an idle client
+// see EOF and end; without it a `shutdown` would wait for every other
+// client to hang up. Each session is tracked by a dup() of its socket
+// that only Remove() closes, so Stop() never reaches a reused fd number.
+class SessionSet {
+ public:
+  // Tracks `fd`; returns the tracking descriptor, or -1 once stopping or
+  // when dup() fails.
+  int Add(int fd) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (stopping_) return -1;
+    const int tracked = ::dup(fd);
+    if (tracked >= 0) fds_.insert(tracked);
+    return tracked;
+  }
+
+  void Remove(int tracked) {
+    std::lock_guard<std::mutex> lock(mu_);
+    fds_.erase(tracked);
+    ::close(tracked);
+    if (fds_.empty()) idle_.notify_all();
+  }
+
+  void Stop() {
+    std::lock_guard<std::mutex> lock(mu_);
+    stopping_ = true;
+    for (int fd : fds_) ::shutdown(fd, SHUT_RD);
+  }
+
+  bool stopping() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return stopping_;
+  }
+
+  void WaitIdle() {
+    std::unique_lock<std::mutex> lock(mu_);
+    idle_.wait(lock, [this] { return fds_.empty(); });
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::condition_variable idle_;
+  std::set<int> fds_;
+  bool stopping_ = false;
+};
+#endif  // __unix__
 
 int CmdServe(int argc, char** argv) {
   FlagParser flags(
@@ -877,21 +959,6 @@ int CmdServe(int argc, char** argv) {
   flags.AddInt("k", 0, "items to retain for --graph");
   flags.AddString("variant", "auto", "independent|normalized|auto");
   flags.AddInt("top_m", 8, "substitutes per node for --graph");
-  flags.AddInt("batch", 64, "max requests answered per batch");
-  flags.AddInt("batch_window_us", 100,
-               "batch fill window in microseconds (0 = no wait)");
-  flags.AddInt("cache_capacity", 65536,
-               "response cache entries; 0 disables caching");
-  flags.AddInt("max_queue", 8192,
-               "queued-request bound; excess requests are shed");
-  flags.AddInt("deadline_us", 0,
-               "per-request deadline in microseconds; 0 = none");
-  flags.AddInt("brownout_watermark", 0,
-               "post-batch queue backlog at which the engine serves "
-               "degraded (top-1, uncached) answers; 0 = off");
-  flags.AddInt("threads", 0,
-               "worker pool threads for intra-batch fan-out; 0 = the "
-               "dispatcher answers batches itself");
   flags.AddInt("port", 0, "TCP port to listen on; 0 = read stdin");
   flags.AddDouble("stats_every_s", 0.0,
                   "print a live qps / p99 line to stderr at this interval "
@@ -933,28 +1000,12 @@ int CmdServe(int argc, char** argv) {
         Status::InvalidArgument("serve needs --index or --graph"));
   }
 
-  serve::QueryEngineOptions engine_options;
-  engine_options.batch_limit = static_cast<size_t>(flags.GetInt("batch"));
-  engine_options.batch_window_us = flags.GetInt("batch_window_us");
-  engine_options.cache_capacity =
-      static_cast<size_t>(flags.GetInt("cache_capacity"));
-  engine_options.max_queue =
-      static_cast<size_t>(flags.GetInt("max_queue"));
-  engine_options.default_deadline_us = flags.GetInt("deadline_us");
-  engine_options.brownout_watermark =
-      static_cast<size_t>(flags.GetInt("brownout_watermark"));
-  std::unique_ptr<ThreadPool> pool;
-  if (flags.GetInt("threads") > 0) {
-    pool = std::make_unique<ThreadPool>(
-        static_cast<size_t>(flags.GetInt("threads")));
-    engine_options.pool = pool.get();
-  }
   std::fprintf(stderr,
                "serving %zu nodes (%zu retained, %s variant, top_m=%zu)\n",
                index->NumNodes(), index->NumRetained(),
                std::string(VariantName(index->variant())).c_str(),
                index->top_m());
-  serve::QueryEngine engine(std::move(index), engine_options);
+  serve::QueryEngine engine(std::move(index));
 
   // Live stats line: one background sampler drives both the ring (for the
   // final --metrics_out snapshot) and the periodic stderr report.
@@ -979,13 +1030,10 @@ int CmdServe(int argc, char** argv) {
         }
         break;
       }
-      std::fprintf(stderr,
-                   "[stats] requests=%llu qps=%.1f p99_us=%.0f shed=%llu\n",
+      std::fprintf(stderr, "[stats] requests=%llu qps=%.1f p99_us=%.0f\n",
                    static_cast<unsigned long long>(
                        current.snapshot.CounterOr("serve.requests")),
-                   qps, p99_us,
-                   static_cast<unsigned long long>(current.snapshot.CounterOr(
-                       "serve.admission_rejected")));
+                   qps, p99_us);
     };
     sampler = std::make_unique<obs::MetricsSampler>(
         &obs::MetricsRegistry::Global(), sampler_options);
@@ -1034,38 +1082,39 @@ int CmdServe(int argc, char** argv) {
                static_cast<unsigned>(*bound));
   // One session thread per connection: resilient clients hold their
   // connection for many requests, so a serial accept loop would let one
-  // client starve the rest. Request concurrency still lives in the
-  // engine (Submit is thread-safe); the threads only pump sockets.
+  // client starve the rest. Each session answers its requests inline.
   // AcceptClient rides out EINTR and transient (ECONNABORTED-class)
   // failures internally.
   const int listener_fd = *listener;
-  std::atomic<bool> stop{false};
-  std::atomic<int> active_sessions{0};
+  SessionSet sessions;
   for (;;) {
     auto fd = serve::AcceptClient(listener_fd);
     if (!fd.ok()) {
       // A `shutdown` session unblocks this accept by shutting the
       // listener down; anything else is a real error.
-      if (stop.load(std::memory_order_relaxed)) break;
+      if (sessions.stopping()) break;
+      sessions.Stop();
+      sessions.WaitIdle();
       close(listener_fd);
       return Fail(fd.status());
     }
-    active_sessions.fetch_add(1, std::memory_order_relaxed);
-    std::thread([&engine, &stop, &active_sessions, listener_fd,
-                 conn = *fd] {
+    const int tracked = sessions.Add(*fd);
+    if (tracked < 0) {
+      close(*fd);
+      if (sessions.stopping()) break;
+      continue;  // out of descriptors: drop this client, keep serving
+    }
+    std::thread([&engine, &sessions, listener_fd, conn = *fd, tracked] {
       if (!serve::ServeConnectionLoop(&engine, conn)) {
-        stop.store(true, std::memory_order_relaxed);
+        sessions.Stop();
         ::shutdown(listener_fd, SHUT_RDWR);
       }
-      active_sessions.fetch_sub(1, std::memory_order_relaxed);
+      sessions.Remove(tracked);
     }).detach();
-    if (stop.load(std::memory_order_relaxed)) break;
   }
-  // Let in-flight sessions finish before tearing the engine down under
-  // them.
-  while (active_sessions.load(std::memory_order_relaxed) > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  // Sessions idle in a read were woken by Stop; let every session finish
+  // its last reply before tearing the engine down under them.
+  sessions.WaitIdle();
   close(listener_fd);
   return export_metrics();
 #else
