@@ -31,7 +31,6 @@
 #include "synth/dataset_profiles.h"
 #include "util/cancellation.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 using namespace prefcover;
 
@@ -365,54 +364,6 @@ int main(int argc, char** argv) {
       return Status::OK();
     };
     run_or_die(bench_case);
-  }
-
-  // Batched CELF across pool widths and batch sizes; the telemetry
-  // counters expose how much work the pruning saves vs. the full O(nk)
-  // scan.
-  {
-    struct ParallelConfig {
-      uint32_t n;
-      size_t workers;
-      size_t batch;
-    };
-    for (const ParallelConfig& pc :
-         {ParallelConfig{10'000, 1, 0}, ParallelConfig{10'000, 4, 0},
-          ParallelConfig{10'000, 4, 4}, ParallelConfig{10'000, 4, 64},
-          ParallelConfig{50'000, 4, 0}}) {
-      auto g = GenerateProfileGraphWithNodes(DatasetProfile::kPE, pc.n,
-                                             env.seed);
-      PREFCOVER_CHECK(g.ok());
-      auto graph = std::make_shared<PreferenceGraph>(std::move(*g));
-      auto pool = std::make_shared<ThreadPool>(pc.workers);
-      const size_t k = pc.n / 20;
-      BenchCase bench_case;
-      bench_case.name = "solve/lazy_parallel/n" + std::to_string(pc.n) +
-                        "/w" + std::to_string(pc.workers) + "/b" +
-                        std::to_string(pc.batch);
-      bench_case.profile = "PE";
-      bench_case.variant = "independent";
-      bench_case.solver = "lazy_parallel";
-      bench_case.n = pc.n;
-      bench_case.k = k;
-      bench_case.threads = pc.workers;
-      bench_case.run = [graph, pool, k,
-                        pc](BenchRecorder* recorder) -> Status {
-        GreedyOptions options;
-        options.batch_size = pc.batch;
-        auto sol =
-            SolveGreedyLazyParallel(*graph, k, pool.get(), options);
-        if (!sol.ok()) return sol.status();
-        recorder->Record("cover", sol->cover);
-        recorder->Record("gain_evaluations",
-                         static_cast<double>(sol->stats.gain_evaluations));
-        recorder->Record("stale_ratio", sol->stats.StaleRatio());
-        recorder->Record("pool_utilization",
-                         sol->stats.PoolUtilization());
-        return Status::OK();
-      };
-      run_or_die(bench_case);
-    }
   }
 
   // Observability overhead. span_disabled measures the cost every

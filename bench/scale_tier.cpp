@@ -1,20 +1,20 @@
 // Scale-tier benchmark: the pinned large-instance suite behind the
 // nightly perf-smoke job. Generates the tier's Zipf-skewed PE-shaped
 // graph (S=20K, M=200K, L=1M, XL=10M nodes) and times graph generation
-// plus the batched-CELF lazy-parallel solve at the tier's pinned budget
+// plus the single-threaded lazy (CELF) solve at the tier's pinned budget
 // (k=100), emitting the machine-readable BENCH_core.json trajectory
 // record.
 //
 // --dist_workers=N additionally times the distributed sharded greedy
 // (SolveGreedyDistributed) against N in-process dist-worker servers on
 // loopback TCP — real wire, real protocol, one process so the nightly
-// ratio gate is immune to runner speed — plus the single-threaded lazy
-// solve as the gate's single-process baseline. The XL tier is
-// distributed-only: a single process is not the intended execution at
-// 10M nodes, so --dist_workers >= 1 is required and the single-process
-// solve cases are skipped (see DISTRIBUTED.md).
+// ratio gate is immune to runner speed — against that same lazy solve as
+// the gate's single-process baseline. The XL tier is distributed-only: a
+// single process is not the intended execution at 10M nodes, so
+// --dist_workers >= 1 is required and the single-process solve is
+// skipped (see DISTRIBUTED.md).
 //
-// Usage: scale_tier [--tier=S|M|L|XL] [--threads=N] [--seed=S]
+// Usage: scale_tier [--tier=S|M|L|XL] [--seed=S]
 //                   [--dist_workers=N]
 //                   [--reps=R] [--warmup=W] [--json=PATH] [--csv]
 
@@ -143,10 +143,6 @@ int main(int argc, char** argv) {
                  "tier XL is distributed-only: pass --dist_workers>=1\n");
     return 1;
   }
-  size_t threads = env.threads > 1
-                       ? env.threads
-                       : std::max(1u, std::thread::hardware_concurrency());
-
   auto config =
       BenchConfigFromFlags(env.flags, "scale_tier", env.seed);
   if (!config.ok()) {
@@ -158,8 +154,7 @@ int main(int argc, char** argv) {
   PrintExperimentHeader(
       env, "scale_tier",
       std::string("tier ") + spec.name + " (n=" + FormatCount(spec.num_nodes) +
-          ", k=" + FormatCount(spec.solve_k) + ", " +
-          std::to_string(threads) + " worker thread(s)" +
+          ", k=" + FormatCount(spec.solve_k) +
           (dist_workers > 0
                ? ", " + std::to_string(dist_workers) + " dist worker(s)"
                : "") +
@@ -189,18 +184,26 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  ThreadPool pool(threads);
+  GreedyOptions solve_options;
+  if (env.flags.GetBool("full_seed")) {
+    solve_options.seed_heap_capacity = spec.num_nodes;
+  }
   if (!xl) {
+    // The trajectory solve, and the distributed gate's single-process
+    // baseline: one thread, same kernel tier as the distributed case
+    // below (both inherit any PREFCOVER_SIMD_LEVEL pin), so the nightly
+    // ratio isolates the sharding + wire overhead against exactly one
+    // process's work.
     BenchCase solve;
-    solve.name = std::string("solve/lazy_parallel/") + spec.name;
+    solve.name = std::string("solve/lazy/") + spec.name;
     solve.profile = "PE";
     solve.variant = "independent";
-    solve.solver = "lazy_parallel";
+    solve.solver = "lazy";
     solve.n = spec.num_nodes;
     solve.k = spec.solve_k;
-    solve.threads = threads;
+    solve.threads = 1;
     solve.run = [&](BenchRecorder* recorder) -> Status {
-      auto sol = SolveGreedyLazyParallel(*graph, spec.solve_k, &pool);
+      auto sol = SolveGreedyLazy(*graph, spec.solve_k, solve_options);
       if (!sol.ok()) return sol.status();
       recorder->Record("cover", sol->cover);
       recorder->Record("gain_evaluations",
@@ -220,38 +223,6 @@ int main(int argc, char** argv) {
 
   if (dist_workers > 0) {
 #if defined(__unix__) || defined(__APPLE__)
-    GreedyOptions solve_options;
-    if (env.flags.GetBool("full_seed")) {
-      solve_options.seed_heap_capacity = spec.num_nodes;
-    }
-    if (!xl) {
-      // The perf gate's single-process baseline: one thread, same kernel
-      // tier as the distributed case below (both inherit any
-      // PREFCOVER_SIMD_LEVEL pin), so the nightly ratio isolates the
-      // sharding + wire overhead against exactly one process's work.
-      BenchCase lazy;
-      lazy.name = std::string("solve/lazy/") + spec.name;
-      lazy.profile = "PE";
-      lazy.variant = "independent";
-      lazy.solver = "lazy";
-      lazy.n = spec.num_nodes;
-      lazy.k = spec.solve_k;
-      lazy.threads = 1;
-      lazy.run = [&](BenchRecorder* recorder) -> Status {
-        auto sol = SolveGreedyLazy(*graph, spec.solve_k, solve_options);
-        if (!sol.ok()) return sol.status();
-        recorder->Record("cover", sol->cover);
-        recorder->Record("gain_evaluations",
-                         static_cast<double>(sol->stats.gain_evaluations));
-        return Status::OK();
-      };
-      st = runner.Run(lazy);
-      if (!st.ok()) {
-        std::fprintf(stderr, "%s\n", st.ToString().c_str());
-        return 1;
-      }
-    }
-
     // Workers persist across repetitions (state-per-process, like the
     // real fleet); every repetition re-seats a fresh solve via `init`.
     std::vector<std::unique_ptr<WorkerServer>> servers;

@@ -39,7 +39,7 @@ class BenchRecorder {
 /// \brief A benchmark case the runner can measure.
 struct BenchCase {
   /// Unique, stable case id within the suite, e.g.
-  /// "solve/lazy_parallel/w4". bench_compare matches baseline and current
+  /// "solve/parallel/w4". bench_compare matches baseline and current
   /// records by this name.
   std::string name;
 

@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "core/greedy_solver.h"
 #include "obs/trace.h"
+#include "util/parallel_for.h"
+#include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace prefcover {
 
@@ -15,13 +19,69 @@ constexpr size_t kDefaultCelfSeedCapacity = 1024;
 
 }  // namespace
 
-// Collect-and-compact top-cap selection (see the exactness comment block
-// in greedy_solver.cc, which this generalizes to a shard range):
-// candidates above the running threshold are appended to a 2*cap buffer
-// cut back to the exact top `cap` (nth_element by pair order) whenever it
-// fills — O(1) amortized per survivor instead of a push_heap. (gain, id)
-// pairs are unique, so the kept set does not depend on nth_element's
-// implementation.
+SweepCandidateEvaluator::SweepCandidateEvaluator(
+    const EvaluatorContext& context, ThreadPool* pool)
+    : state_(context.state),
+      excluded_(context.excluded),
+      pool_(pool),
+      gains_(std::make_unique_for_overwrite<double[]>(
+          context.graph->NumNodes())),
+      busy_seconds_(pool == nullptr ? 0 : pool->num_threads(), 0.0) {}
+
+Result<CandidateProposal> SweepCandidateEvaluator::BestCandidate() {
+  const size_t n = state_->graph().NumNodes();
+  const std::span<double> gains(gains_.get(), n);
+  if (pool_ == nullptr) {
+    state_->GainsInto(0, n, gains);
+  } else {
+    Stopwatch sweep;
+    ParallelForChunked(pool_, 0, n,
+                       [this, gains](size_t lo, size_t hi, size_t worker) {
+                         Stopwatch chunk;
+                         state_->GainsInto(lo, hi, gains);
+                         busy_seconds_[worker] += chunk.ElapsedSeconds();
+                       });
+    sweep_seconds_ += sweep.ElapsedSeconds();
+    ++counters_.parallel_batches;
+    counters_.parallel_items += n;
+  }
+  CandidateProposal best;
+  double best_gain = -1.0;
+  ForEachCandidateInRange(state_->retained(), *excluded_, 0, n,
+                          [&](NodeId v) {
+    ++counters_.gain_evaluations;
+    if (gains[v] > best_gain) {  // strict: ties keep the smaller id
+      best_gain = gains[v];
+      best = {true, best_gain, v};
+    }
+  });
+  return best;
+}
+
+Status SweepCandidateEvaluator::CommitWinner(NodeId v) {
+  (void)v;  // the next sweep reads the driver's updated CoverState
+  return Status::OK();
+}
+
+void SweepCandidateEvaluator::DrainCounters(EvaluatorCounters* into) {
+  into->MergeFrom(&counters_);
+}
+
+Status SweepCandidateEvaluator::Finish(SolverStats* stats) {
+  if (pool_ == nullptr) return Status::OK();
+  stats->threads = pool_->num_threads();
+  stats->pool_busy_seconds =
+      std::accumulate(busy_seconds_.begin(), busy_seconds_.end(), 0.0);
+  stats->pool_wall_seconds = sweep_seconds_;
+  return Status::OK();
+}
+
+// Collect-and-compact top-cap selection over a shard range (exactness:
+// see CelfSeededHeap in the header): candidates above the running
+// threshold are appended to a 2*cap buffer cut back to the exact top
+// `cap` (nth_element by pair order) whenever it fills — O(1) amortized
+// per survivor instead of a push_heap. (gain, id) pairs are unique, so the
+// kept set does not depend on nth_element's implementation.
 CelfSeededHeap BuildCelfSeed(const CoverState& state, const Bitset& excluded,
                              size_t begin, size_t end,
                              std::span<const double> gains, size_t cap,
@@ -59,10 +119,10 @@ CelfSeededHeap BuildCelfSeed(const CoverState& state, const Bitset& excluded,
   return out;
 }
 
-// Bound-ordered walk with exact early exit (the kernel-tier seed; see the
-// comment block in greedy_solver.cc). theta is the last compact's cut — a
-// lower bound on the running exact threshold — so the stop test is
-// conservative: it can only visit extra nodes, never skip a needed one.
+// Bound-ordered walk with exact early exit (the kernel-tier seed). theta
+// is the last compact's cut — a lower bound on the running exact
+// threshold — so the stop test is conservative: it can only visit extra
+// nodes, never skip a needed one.
 CelfSeededHeap BuildCelfSeedBounded(const CoverState& state,
                                     const Bitset& excluded, size_t begin,
                                     size_t end, size_t cap, uint32_t round,

@@ -1,7 +1,10 @@
 // The round-scoped candidate-evaluation interface the greedy driver loop
-// solves against, plus the reusable shard-restricted CELF engine that
-// backs both implementations:
+// solves against, its in-process implementations, and the reusable
+// shard-restricted CELF engine behind the lazy ones:
 //
+//   - SweepCandidateEvaluator: the exhaustive execution (SolveGreedy and
+//     SolveGreedyParallel) — one batch gain sweep per round, serial or
+//     cut into chunks on a thread pool, then a serial strict-> scan;
 //   - LazyCandidateEvaluator: the in-process kernel-backed execution —
 //     exactly the threshold-seeded, bound-ordered lazy CELF that
 //     SolveGreedyLazy has always run, restructured behind the interface;
@@ -49,6 +52,7 @@
 namespace prefcover {
 
 struct GreedyOptions;  // core/greedy_solver.h
+class ThreadPool;      // util/thread_pool.h
 
 /// \brief One round's winning candidate. `found == false` means the
 /// evaluator has no live candidate left (every node retained/excluded).
@@ -66,12 +70,18 @@ struct EvaluatorCounters {
   uint64_t heap_pops = 0;
   uint64_t stale_refreshes = 0;
   uint64_t seed_refills = 0;
+  /// Pool dispatches (one per pooled gain sweep) and the work items they
+  /// carried.
+  uint64_t parallel_batches = 0;
+  uint64_t parallel_items = 0;
 
   void MergeFrom(EvaluatorCounters* other) {
     gain_evaluations += other->gain_evaluations;
     heap_pops += other->heap_pops;
     stale_refreshes += other->stale_refreshes;
     seed_refills += other->seed_refills;
+    parallel_batches += other->parallel_batches;
+    parallel_items += other->parallel_items;
     *other = EvaluatorCounters();
   }
 };
@@ -120,6 +130,38 @@ class CandidateEvaluator {
   }
 };
 
+/// \brief The exhaustive argmax of Algorithm 1: each round one
+/// CoverState::GainsInto sweep writes every node's gain, then a serial
+/// strict-> scan over the live candidates in id order picks the winner, so
+/// ties keep the smaller id. With a pool the sweep is cut into
+/// ParallelForChunked chunks at arbitrary node ids; a gain does not depend
+/// on any other, so the chunking cannot change a value and the selection
+/// is identical for every thread count.
+class SweepCandidateEvaluator : public CandidateEvaluator {
+ public:
+  /// `pool` may be nullptr: one serial sweep over [0, n) per round.
+  SweepCandidateEvaluator(const EvaluatorContext& context, ThreadPool* pool);
+
+  Result<CandidateProposal> BestCandidate() override;
+  Status CommitWinner(NodeId v) override;
+  void DrainCounters(EvaluatorCounters* into) override;
+  /// Reports the pool width and the busy / wall seconds of the pooled
+  /// sweeps (SolverStats::PoolUtilization).
+  Status Finish(SolverStats* stats) override;
+
+ private:
+  const CoverState* state_;
+  const Bitset* excluded_;
+  ThreadPool* pool_;
+  /// Gains indexed by node id; every sweep overwrites [0, n) first.
+  std::unique_ptr<double[]> gains_;
+  /// Chunk wall seconds per ParallelForChunked worker slot, summed over
+  /// all sweeps; and the wall seconds of those sweeps on the caller.
+  std::vector<double> busy_seconds_;
+  double sweep_seconds_ = 0.0;
+  EvaluatorCounters counters_;
+};
+
 // --- CELF machinery shared by the lazy executions and the shard engine --
 
 /// \brief Lazy-greedy heap entry: a (gain, node) pair tagged with the
@@ -146,9 +188,9 @@ using CelfHeap = std::priority_queue<CelfHeapEntry,
 
 /// \brief A threshold-seeded CELF heap: the exact top-`cap` candidates by
 /// (gain, id) order plus the cut threshold theta (the worst kept entry)
-/// when candidates were cut. See greedy_solver.cc's exactness argument:
-/// while the selection front stays at or above theta the cut pool cannot
-/// hold the argmax; the moment it might, the owner refills.
+/// when candidates were cut. Exactness: while the selection front stays
+/// at or above theta the cut pool cannot hold the argmax; the moment it
+/// might, the owner refills.
 struct CelfSeededHeap {
   CelfHeap heap;
   CelfHeapEntry theta{0.0, 0, 0};
@@ -193,7 +235,8 @@ void ForEachCandidateInRange(const Bitset& retained, const Bitset& excluded,
 /// `gains` (indexed by node id), keeping the exact top `cap` entries by
 /// (gain, id). Tallies one gain evaluation per candidate into
 /// `*gain_evals` (the batch sweep computed them all). The scalar-tier
-/// seed path; see greedy_solver.cc for the collect-and-compact argument.
+/// seed path; see candidate_evaluator.cc for the collect-and-compact
+/// argument.
 CelfSeededHeap BuildCelfSeed(const CoverState& state, const Bitset& excluded,
                              size_t begin, size_t end,
                              std::span<const double> gains, size_t cap,

@@ -185,7 +185,7 @@ void FillMinimumQuotas(ConstrainedRun* run,
 }
 
 // Threshold-seeded ratio heap, the constrained twin of the unconstrained
-// bounded seed (greedy_solver.cc): walk `order` — descending
+// bounded seed (core/candidate_evaluator.cc): walk `order` — descending
 // bound(v)/cost(v) — evaluating exact ratios for admissible candidates,
 // keep the top `cap` by (ratio, id), and STOP once every remaining
 // bound-ratio falls below the cut: Gain(v) <= bound(v) against any

@@ -1,13 +1,9 @@
 #include "core/greedy_solver.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <limits>
 #include <memory>
 #include <numbers>
-#include <queue>
-#include <span>
 #include <vector>
 
 #include "core/checkpoint.h"
@@ -17,33 +13,19 @@
 #include "obs/trace.h"
 #include "util/bitset.h"
 #include "util/logging.h"
-#include "util/parallel_for.h"
 #include "util/timer.h"
 
 namespace prefcover {
 
 namespace {
 
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-
-// Word-parallel candidate enumeration over the full node range (the
-// shard-ranged generalization lives in core/candidate_evaluator.h, shared
-// with the distributed shard engine).
-template <typename Fn>
-void ForEachCandidate(const Bitset& retained, const Bitset& excluded,
-                      Fn&& fn) {
-  ForEachCandidateInRange(retained, excluded, 0, retained.size(),
-                          std::forward<Fn>(fn));
-}
-
-// Working set shared by the four executions: the incremental cover state,
-// the partial solution, the exclusion mask and the telemetry instruments.
+// Working set of the driver loop: the incremental cover state, the
+// partial solution, the exclusion mask and the telemetry instruments.
 //
 // Telemetry lives in a run-scoped MetricsRegistry (SolverStats is built
-// as a view over its snapshot at the end). Parallel workers bump the
-// sharded counters directly; the serial hot loops accumulate into the
-// `pending_*` tallies, flushed at each selection round so the inner scans
-// stay plain integer increments.
+// as a view over its snapshot at the end). Evaluators tally their work in
+// plain EvaluatorCounters; the driver drains and records them once per
+// selection round, so the inner scans stay plain integer increments.
 struct GreedyRun {
   GreedyRun(const PreferenceGraph* graph, Variant variant)
       : state(graph, variant),
@@ -73,17 +55,7 @@ struct GreedyRun {
   obs::Counter* parallel_batches;
   obs::Counter* parallel_items;
 
-  // Serial-path tallies, flushed into the counters once per round.
-  uint64_t pending_gain_evals = 0;
-  uint64_t pending_heap_pops = 0;
-  uint64_t pending_stale_refreshes = 0;
-
-  // Counter readings at the previous round boundary, for the per-round
-  // deltas attached to "solver.round" trace events.
-  uint64_t prev_gain_evals = 0;
-  uint64_t prev_stale_refreshes = 0;
-
-  SolverStats stats;  // timing / threads / batch fields only, until Finish
+  SolverStats stats;  // timing / pool fields only, until Finish
   Stopwatch iteration_timer;
 
   // Cooperative cancellation + periodic checkpointing (both optional).
@@ -135,44 +107,35 @@ struct GreedyRun {
     }
   }
 
-  void FlushPending() {
-    if (pending_gain_evals > 0) {
-      gain_evaluations->Increment(pending_gain_evals);
-      pending_gain_evals = 0;
-    }
-    if (pending_heap_pops > 0) {
-      heap_pops->Increment(pending_heap_pops);
-      pending_heap_pops = 0;
-    }
-    if (pending_stale_refreshes > 0) {
-      stale_refreshes->Increment(pending_stale_refreshes);
-      pending_stale_refreshes = 0;
-    }
+  // Adds evaluator work to the run counters.
+  void Record(const EvaluatorCounters& work) {
+    gain_evaluations->Increment(work.gain_evaluations);
+    heap_pops->Increment(work.heap_pops);
+    stale_refreshes->Increment(work.stale_refreshes);
+    seed_refills->Increment(work.seed_refills);
+    parallel_batches->Increment(work.parallel_batches);
+    parallel_items->Increment(work.parallel_items);
   }
 
-  // Commits one greedy selection, records its wall time, and emits the
-  // per-round trace event with the round's cost deltas.
-  void Select(NodeId v) {
+  // Commits one greedy selection with the evaluator work that found it,
+  // records its wall time, and emits the per-round trace event.
+  void Select(NodeId v, const EvaluatorCounters& work) {
     state.AddNode(v);
     items.push_back(v);
     prefix_covers.push_back(state.cover());
-    FlushPending();
+    Record(work);
     iterations->Increment();
     double seconds = iteration_timer.ElapsedSeconds();
     stats.total_iteration_seconds += seconds;
     stats.max_iteration_seconds =
         std::max(stats.max_iteration_seconds, seconds);
     if (obs::Tracing::IsEnabled()) {
-      const uint64_t evals = gain_evaluations->Value();
-      const uint64_t stale = stale_refreshes->Value();
       obs::TraceArgs args;
       args.Add("round", static_cast<uint64_t>(items.size() - 1))
           .Add("node", static_cast<uint64_t>(v))
-          .Add("gain_evals", evals - prev_gain_evals)
-          .Add("stale_refreshes", stale - prev_stale_refreshes)
+          .Add("gain_evals", work.gain_evaluations)
+          .Add("stale_refreshes", work.stale_refreshes)
           .Add("cover", prefix_covers.back());
-      prev_gain_evals = evals;
-      prev_stale_refreshes = stale;
       const uint64_t dur_ns = static_cast<uint64_t>(seconds * 1e9);
       const uint64_t now_ns = obs::Tracing::NowNanos();
       obs::Tracing::RecordComplete(
@@ -244,7 +207,6 @@ Status InitGreedyRun(const PreferenceGraph& graph, size_t k,
 
 Solution FinishSolution(GreedyRun&& run, Variant variant,
                         const char* algorithm, double seconds) {
-  run.FlushPending();
   // A truncated run writes one final checkpoint so a later resume starts
   // from everything that was selected, not the last cadence boundary.
   if (run.truncated) run.MaybeCheckpoint(/*force=*/true);
@@ -309,134 +271,6 @@ Status ValidateGreedyOptions(const PreferenceGraph& graph, size_t k,
   return Status::OK();
 }
 
-Result<Solution> SolveGreedy(const PreferenceGraph& graph, size_t k,
-                             const GreedyOptions& options) {
-  PREFCOVER_RETURN_NOT_OK(ValidateInstance(graph, k, options.variant));
-  Stopwatch timer;
-  obs::Span solve_span("solver.solve", "solver");
-  solve_span.Arg("algorithm", "greedy");
-  solve_span.Arg("k", static_cast<uint64_t>(k));
-  GreedyRun run(&graph, options.variant);
-  PREFCOVER_RETURN_NOT_OK(InitGreedyRun(graph, k, options, &run));
-  solve_span.Arg("simd", SimdLevelName(run.state.simd_level()).data());
-
-  // Per-round scratch for the batch gain sweep: one streaming kernel
-  // call computes every node's gain, then the candidate scan reduces.
-  // Uninitialized on purpose — every sweep overwrites [0, n) first.
-  const auto gains_buf =
-      std::make_unique_for_overwrite<double[]>(graph.NumNodes());
-  const std::span<double> gains(gains_buf.get(), graph.NumNodes());
-  while (run.items.size() < k) {
-    if (run.ShouldStop()) break;
-    if (run.state.cover() >= options.stop_at_cover) break;
-    run.state.GainsInto(0, graph.NumNodes(), gains);
-    double best_gain = -1.0;
-    NodeId best = kInvalidNode;
-    ForEachCandidate(run.state.retained(), run.excluded, [&](NodeId v) {
-      double gain = gains[v];
-      ++run.pending_gain_evals;
-      if (gain > best_gain) {  // strict: ties keep the smaller id
-        best_gain = gain;
-        best = v;
-      }
-    });
-    if (best == kInvalidNode) break;  // all nodes retained
-    run.Select(best);
-  }
-  return FinishSolution(std::move(run), options.variant, "greedy",
-                        timer.ElapsedSeconds());
-}
-
-Result<Solution> SolveGreedyParallel(const PreferenceGraph& graph, size_t k,
-                                     ThreadPool* pool,
-                                     const GreedyOptions& options) {
-  PREFCOVER_RETURN_NOT_OK(ValidateInstance(graph, k, options.variant));
-  Stopwatch timer;
-  obs::Span solve_span("solver.solve", "solver");
-  solve_span.Arg("algorithm", "greedy-parallel");
-  solve_span.Arg("k", static_cast<uint64_t>(k));
-  const size_t n = graph.NumNodes();
-  GreedyRun run(&graph, options.variant);
-  PREFCOVER_RETURN_NOT_OK(InitGreedyRun(graph, k, options, &run));
-  solve_span.Arg("simd", SimdLevelName(run.state.simd_level()).data());
-  run.stats.threads = pool == nullptr ? 1 : pool->num_threads();
-
-  while (run.items.size() < k) {
-    if (run.ShouldStop()) break;
-    if (run.state.cover() >= options.stop_at_cover) break;
-    // Forward the token only once truncation is permissible: the first
-    // selection's scan must run to completion (both the nonempty-prefix
-    // guarantee and the prefix-of-the-deterministic-order property need
-    // a complete argmax).
-    const CancelToken* round_cancel =
-        run.items.empty() ? nullptr : options.cancel;
-    double best_gain = kNegInf;
-    size_t best = ParallelArgMax(
-        pool, n,
-        [&run](size_t v) {
-          NodeId node = static_cast<NodeId>(v);
-          if (run.state.IsRetained(node) || run.excluded.Test(node)) {
-            return kNegInf;
-          }
-          // Sharded counter: workers each hit their own cell.
-          run.gain_evaluations->Increment();
-          return run.state.GainOf(node);
-        },
-        &best_gain, round_cancel);
-    // A cancelled argmax may have skipped chunks; discard the round
-    // rather than select from a partial scan.
-    if (round_cancel != nullptr && run.ShouldStop()) break;
-    run.parallel_batches->Increment();
-    run.parallel_items->Increment(n);
-    if (best == n || best_gain == kNegInf) break;
-    run.Select(static_cast<NodeId>(best));
-  }
-  return FinishSolution(std::move(run), options.variant, "greedy-parallel",
-                        timer.ElapsedSeconds());
-}
-
-namespace {
-
-// The CELF heap machinery — entries, comparator, the threshold-seeded
-// heap (exactness argument: see the comment blocks there) and its two
-// builders — lives in core/candidate_evaluator.{h,cc} since the solver
-// loop was refactored behind CandidateEvaluator: the distributed shard
-// engine seeds with the exact same code. These aliases keep the batched
-// lazy-parallel execution below reading as before.
-using HeapEntry = CelfHeapEntry;
-using Worse = CelfWorse;
-using LazyHeap = CelfHeap;
-using SeededHeap = CelfSeededHeap;
-
-constexpr size_t kDefaultSeedHeapCapacity = 1024;
-
-size_t EffectiveSeedCapacity(const GreedyOptions& options, size_t n) {
-  const size_t cap = options.seed_heap_capacity > 0
-                         ? options.seed_heap_capacity
-                         : kDefaultSeedHeapCapacity;
-  return std::min(cap, n);
-}
-
-}  // namespace
-
-namespace {
-
-// Folds an evaluator's drained tallies into the run's pending counters
-// (flushed by the next Select / FinishSolution, preserving the per-round
-// trace deltas the serial executions always emitted). seed_refills has
-// no pending slot — it was always incremented directly.
-void ApplyEvaluatorTally(EvaluatorCounters* tally, GreedyRun* run) {
-  run->pending_gain_evals += tally->gain_evaluations;
-  run->pending_heap_pops += tally->heap_pops;
-  run->pending_stale_refreshes += tally->stale_refreshes;
-  if (tally->seed_refills > 0) {
-    run->seed_refills->Increment(tally->seed_refills);
-  }
-  *tally = EvaluatorCounters();
-}
-
-}  // namespace
-
 Result<Solution> SolveGreedyWithEvaluator(
     const PreferenceGraph& graph, size_t k, const GreedyOptions& options,
     const CandidateEvaluatorFactory& factory, const char* algorithm) {
@@ -460,36 +294,58 @@ Result<Solution> SolveGreedyWithEvaluator(
   PREFCOVER_ASSIGN_OR_RETURN(std::unique_ptr<CandidateEvaluator> evaluator,
                              factory(context));
 
-  EvaluatorCounters tally;
   run.iteration_timer.Reset();
   while (run.items.size() < k) {
     if (run.ShouldStop()) break;
     if (run.state.cover() >= options.stop_at_cover) break;
     PREFCOVER_ASSIGN_OR_RETURN(CandidateProposal best,
                                evaluator->BestCandidate());
-    // Drained before Select so the round's work lands in this round's
-    // flush (and trace deltas), exactly as the inline loop tallied.
-    evaluator->DrainCounters(&tally);
-    ApplyEvaluatorTally(&tally, &run);
     if (!best.found) break;  // every candidate retained or excluded
-    run.Select(best.node);
+    // Drained before Select so the round's work lands in this round's
+    // counters and trace event.
+    EvaluatorCounters work;
+    evaluator->DrainCounters(&work);
+    run.Select(best.node, work);
     PREFCOVER_RETURN_NOT_OK(evaluator->CommitWinner(best.node));
   }
-  // Work done while discovering exhaustion (or after the last commit)
-  // still belongs to the run's totals.
-  evaluator->DrainCounters(&tally);
-  ApplyEvaluatorTally(&tally, &run);
+  // Work done while discovering exhaustion still belongs to the run.
+  EvaluatorCounters tail;
+  evaluator->DrainCounters(&tail);
+  run.Record(tail);
   PREFCOVER_RETURN_NOT_OK(evaluator->Finish(&run.stats));
   return FinishSolution(std::move(run), options.variant, algorithm,
                         timer.ElapsedSeconds());
 }
 
+namespace {
+
+CandidateEvaluatorFactory SweepFactory(ThreadPool* pool) {
+  return [pool](const EvaluatorContext& context)
+             -> Result<std::unique_ptr<CandidateEvaluator>> {
+    return std::unique_ptr<CandidateEvaluator>(
+        std::make_unique<SweepCandidateEvaluator>(context, pool));
+  };
+}
+
+}  // namespace
+
+Result<Solution> SolveGreedy(const PreferenceGraph& graph, size_t k,
+                             const GreedyOptions& options) {
+  return SolveGreedyWithEvaluator(graph, k, options, SweepFactory(nullptr),
+                                  "greedy");
+}
+
+Result<Solution> SolveGreedyParallel(const PreferenceGraph& graph, size_t k,
+                                     ThreadPool* pool,
+                                     const GreedyOptions& options) {
+  return SolveGreedyWithEvaluator(graph, k, options, SweepFactory(pool),
+                                  "greedy-parallel");
+}
+
 Result<Solution> SolveGreedyLazy(const PreferenceGraph& graph, size_t k,
                                  const GreedyOptions& options) {
-  // The generic driver over the in-process CELF evaluator: the same
-  // threshold-seeded lazy loop this function always ran, now shared
-  // line-for-line with the distributed shard engine
-  // (core/candidate_evaluator.cc).
+  // The driver over the in-process CELF evaluator, shared line-for-line
+  // with the distributed shard engine (core/candidate_evaluator.cc).
   return SolveGreedyWithEvaluator(
       graph, k, options,
       [](const EvaluatorContext& context)
@@ -498,176 +354,6 @@ Result<Solution> SolveGreedyLazy(const PreferenceGraph& graph, size_t k,
             std::make_unique<LazyCandidateEvaluator>(context));
       },
       "greedy-lazy");
-}
-
-Result<Solution> SolveGreedyLazyParallel(const PreferenceGraph& graph,
-                                         size_t k, ThreadPool* pool,
-                                         const GreedyOptions& options) {
-  PREFCOVER_RETURN_NOT_OK(ValidateInstance(graph, k, options.variant));
-  Stopwatch timer;
-  obs::Span solve_span("solver.solve", "solver");
-  solve_span.Arg("algorithm", "greedy-lazy-parallel");
-  solve_span.Arg("k", static_cast<uint64_t>(k));
-  const size_t n = graph.NumNodes();
-  GreedyRun run(&graph, options.variant);
-  PREFCOVER_RETURN_NOT_OK(InitGreedyRun(graph, k, options, &run));
-  solve_span.Arg("simd", SimdLevelName(run.state.simd_level()).data());
-
-  const size_t threads = pool == nullptr ? 1 : pool->num_threads();
-  const size_t batch_size =
-      options.batch_size > 0 ? options.batch_size
-                             : std::max<size_t>(size_t{1}, 4 * threads);
-  run.stats.threads = threads;
-  run.stats.batch_size = batch_size;
-
-  const size_t seed_cap = EffectiveSeedCapacity(options, n);
-  // Kernel tiers: bound-ordered early-exit seed, serial — it touches so
-  // few nodes that a pool dispatch costs more than it saves. Scalar
-  // tier: full batch gain sweep as disjoint chunks on the pool. Gains
-  // are independent of each other (GainOf is const), so chunk
-  // boundaries cannot affect the values, and both builders keep the
-  // exact same top seed_cap — the result, and every downstream refill
-  // decision, is identical for every tier and thread count.
-  const bool bounded_seed = run.state.simd_level() != SimdLevel::kScalar;
-  std::unique_ptr<double[]> gains_buf;
-  std::span<double> gains;
-  if (!bounded_seed) {
-    // Uninitialized on purpose — every sweep overwrites [0, n) first.
-    gains_buf = std::make_unique_for_overwrite<double[]>(n);
-    gains = std::span<double>(gains_buf.get(), n);
-  }
-  SeededHeap seeded;
-  const auto reseed = [&](uint32_t seed_round) {
-    obs::Span seed_span("solver.init_heap", "solver");
-    seed_span.Arg("n", static_cast<uint64_t>(n));
-    if (bounded_seed) {
-      seeded = BuildCelfSeedBounded(
-          run.state, run.excluded, 0, n, seed_cap, seed_round,
-          n - run.state.NumRetained() - run.num_excluded,
-          &run.pending_gain_evals);
-      return;
-    }
-    constexpr size_t kSeedChunk = 4096;
-    const size_t num_chunks = (n + kSeedChunk - 1) / kSeedChunk;
-    ParallelFor(pool, 0, num_chunks, [&run, &gains, n](size_t c) {
-      const size_t chunk_begin = c * kSeedChunk;
-      run.state.GainsInto(chunk_begin,
-                          std::min(n, chunk_begin + kSeedChunk), gains);
-    });
-    run.parallel_batches->Increment();
-    run.parallel_items->Increment(n);
-    seeded = BuildCelfSeed(run.state, run.excluded, 0, n, gains, seed_cap,
-                           seed_round, &run.pending_gain_evals);
-  };
-  reseed(0);
-  LazyHeap& heap = seeded.heap;
-
-  std::vector<size_t> batch;
-  std::vector<double> batch_gains;
-  // The heap never holds more than n entries, so an oversized (or
-  // size_t-max) batch_size must not translate into an oversized reserve.
-  batch.reserve(std::min(batch_size, n));
-  uint32_t round = 0;
-  run.iteration_timer.Reset();
-  while (run.items.size() < k) {
-    if (run.ShouldStop()) break;
-    if (run.state.cover() >= options.stop_at_cover) break;
-    if (heap.empty()) {
-      if (!seeded.truncated) break;
-      // The kept pool drained; pull the cut candidates back in.
-      run.seed_refills->Increment();
-      reseed(round);
-      continue;
-    }
-    HeapEntry top = heap.top();
-    if (run.state.IsRetained(top.node)) {
-      heap.pop();
-      ++run.pending_heap_pops;
-      continue;
-    }
-    if (top.round == round) {
-      if (seeded.truncated && Worse()(top, seeded.theta)) {
-        // The fresh front fell below the seed cut: a cut candidate may
-        // now be the true argmax. Rebuild from a fresh full sweep.
-        run.seed_refills->Increment();
-        reseed(round);
-        continue;
-      }
-      // A fresh top dominates every other entry's stored gain, and stored
-      // gains upper-bound true gains (submodularity), so this is exactly
-      // the plain-greedy argmax; the heap comparator already broke gain
-      // ties toward the smaller id.
-      heap.pop();
-      ++run.pending_heap_pops;
-      run.Select(top.node);
-      ++round;
-      continue;
-    }
-
-    // Batched CELF: pop up to B stale candidates and refresh their gains
-    // concurrently. Stop early if a fresh entry surfaces — it may already
-    // be the winner, no need to refresh anything beneath it.
-    batch.clear();
-    while (batch.size() < batch_size && !heap.empty()) {
-      HeapEntry e = heap.top();
-      if (run.state.IsRetained(e.node)) {
-        heap.pop();
-        ++run.pending_heap_pops;
-        continue;
-      }
-      if (e.round == round) break;
-      heap.pop();
-      ++run.pending_heap_pops;
-      batch.push_back(e.node);
-    }
-
-    // As in the parallel execution, only forward the token when a
-    // truncation break is permissible; a cancelled refresh produces
-    // partial gains that must be discarded, never reinserted.
-    const CancelToken* round_cancel =
-        run.items.empty() ? nullptr : options.cancel;
-    double best_gain = kNegInf;
-    size_t best_pos = ParallelArgMaxBatch(
-        pool, batch,
-        [&run](size_t v) {
-          return run.state.GainOf(static_cast<NodeId>(v));
-        },
-        &batch_gains, &best_gain, round_cancel);
-    if (round_cancel != nullptr && run.ShouldStop()) break;
-    run.parallel_batches->Increment();
-    run.parallel_items->Increment(batch.size());
-    run.pending_gain_evals += batch.size();
-    run.pending_stale_refreshes += batch.size();
-
-    // Fast path: if the best refreshed gain strictly beats the top stored
-    // gain left in the heap, it beats every remaining true gain (true <=
-    // stored), and ParallelArgMaxBatch already resolved in-batch ties
-    // toward the smaller id — so it is exactly the plain-greedy argmax.
-    // On equality we cannot decide here (a remaining entry might refresh
-    // to the same gain with a smaller id), so everything is reinserted
-    // fresh and the next loop iteration selects via the heap comparator.
-    // Under a truncated seed the winner must additionally clear the seed
-    // cut — below theta a cut candidate could be the true argmax, so
-    // everything is reinserted fresh and the next iteration's fresh-top
-    // check routes into the reseed path.
-    const bool select_now =
-        best_pos != batch.size() &&
-        (heap.empty() || best_gain > heap.top().gain) &&
-        (!seeded.truncated ||
-         !Worse()(HeapEntry{best_gain, static_cast<NodeId>(batch[best_pos]),
-                            round},
-                  seeded.theta));
-    for (size_t j = 0; j < batch.size(); ++j) {
-      if (select_now && j == best_pos) continue;
-      heap.push({batch_gains[j], static_cast<NodeId>(batch[j]), round});
-    }
-    if (select_now) {
-      run.Select(static_cast<NodeId>(batch[best_pos]));
-      ++round;
-    }
-  }
-  return FinishSolution(std::move(run), options.variant,
-                        "greedy-lazy-parallel", timer.ElapsedSeconds());
 }
 
 double GreedyApproximationGuarantee(Variant variant, size_t k, size_t n) {

@@ -1,26 +1,25 @@
-// The paper's greedy scheme (Algorithm 1) in four executions that produce
-// identical solutions:
+// The paper's greedy scheme (Algorithm 1) as one round loop,
+// SolveGreedyWithEvaluator, in three executions that produce identical
+// solutions. Each round the driver checks cancellation and stop_at_cover,
+// asks a CandidateEvaluator for the exact (gain, id)-argmax, and commits
+// it; the executions differ only in the evaluator:
 //
-//   - plain:         the literal O(nkD) loop — each of the k iterations
-//                    scans every unretained candidate's Gain;
-//   - parallel:      the paper's parallelization — the per-iteration
-//                    candidate scan fans out over a thread pool,
-//                    O(k + nkD/N) for N threads;
-//   - lazy:          CELF-style stale-gain pruning. Both variants' cover
-//                    functions are monotone submodular, so a candidate's
-//                    gain only decreases as S grows; re-evaluating the heap
-//                    top until it is fresh selects exactly the plain-greedy
-//                    argmax (ties break to the smaller id in every
-//                    execution);
-//   - lazy-parallel: batched CELF — pops the top-B stale candidates,
-//                    re-evaluates their gains concurrently on the pool, and
-//                    reinserts until the top is fresh. Combines the lazy
-//                    execution's pruning with the parallel execution's
-//                    throughput while still selecting the identical node
-//                    sequence (see docs/ALGORITHMS.md for the argument).
+//   - plain:    SweepCandidateEvaluator without a pool — the literal
+//               O(nkD) loop: one batch gain sweep over every node per
+//               round, then a serial scan of the unretained candidates;
+//   - parallel: the paper's parallelization — the same evaluator with the
+//               per-round sweep cut into chunks on a thread pool,
+//               O(k(n + nD/N)) for N threads (the argmax scan stays
+//               serial);
+//   - lazy:     LazyCandidateEvaluator — CELF-style stale-gain pruning.
+//               Both variants' cover functions are monotone submodular,
+//               so a candidate's gain only decreases as S grows;
+//               re-evaluating the heap top until it is fresh selects
+//               exactly the plain-greedy argmax.
 //
-// Every execution fills `Solution::stats` (SolverStats) so pruning
-// effectiveness and parallel utilization are measurable.
+// Ties break to the smaller id in every execution. Every execution fills
+// `Solution::stats` (SolverStats) so pruning effectiveness and pool
+// utilization are measurable.
 //
 // Approximation guarantees (paper Theorems 3.1 / 4.1 and Table 1):
 //   Independent: (1 - 1/e), tight unless P = NP.
@@ -93,18 +92,13 @@ struct GreedyOptions {
   /// Must be distinct and within range.
   std::vector<NodeId> force_exclude;
 
-  /// Batch size B for SolveGreedyLazyParallel: how many stale heap entries
-  /// are re-evaluated per parallel dispatch. 0 = auto (4x the pool width).
-  /// The selected node sequence is identical for every value.
-  size_t batch_size = 0;
-
-  /// Heap seed capacity T for the lazy executions: the seed keeps only
+  /// Heap seed capacity T for the lazy (CELF) evaluators: the seed keeps
   /// the top-T candidates by (gain, id) and pulls the cut-off rest back
   /// in through exact threshold refills when the selection front drops
   /// below the cut (counted in `SolverStats::seed_refills`). 0 = default
   /// (1024). The selected node sequence is identical for every value —
-  /// this is purely a performance knob; see greedy_solver.cc for the
-  /// exactness argument.
+  /// this is purely a performance knob; see CelfSeededHeap in
+  /// core/candidate_evaluator.h for the exactness argument.
   size_t seed_heap_capacity = 0;
 
   /// Cooperative cancellation (explicit Cancel() or a deadline). Checked
@@ -122,7 +116,7 @@ struct GreedyOptions {
 /// \brief Validates a GreedyOptions instance against the problem size: NaN
 /// stop_at_cover, duplicate or out-of-range force_include/force_exclude,
 /// overlap between the two lists, force_include larger than k. Every
-/// greedy entry point applies exactly this check, so all four executions
+/// greedy entry point applies exactly this check, so all three executions
 /// accept and reject the same inputs with the same errors.
 Status ValidateGreedyOptions(const PreferenceGraph& graph, size_t k,
                              const GreedyOptions& options);
@@ -131,9 +125,10 @@ Status ValidateGreedyOptions(const PreferenceGraph& graph, size_t k,
 Result<Solution> SolveGreedy(const PreferenceGraph& graph, size_t k,
                              const GreedyOptions& options = GreedyOptions());
 
-/// \brief Parallel greedy: candidate gains are evaluated on `pool`
-/// (nullptr degrades to the plain loop). Produces the same solution as
-/// SolveGreedy for any thread count.
+/// \brief Parallel greedy: each round's gain sweep runs in chunks on
+/// `pool` (nullptr degrades to the plain loop). Produces the same solution
+/// as SolveGreedy for any thread count. Cancellation is checked at round
+/// boundaries, so a stop waits for at most one sweep.
 Result<Solution> SolveGreedyParallel(
     const PreferenceGraph& graph, size_t k, ThreadPool* pool,
     const GreedyOptions& options = GreedyOptions());
@@ -155,26 +150,18 @@ using CandidateEvaluatorFactory =
 /// \brief The generic greedy driver (Algorithm 1's round loop) over a
 /// CandidateEvaluator: per round — cancellation / stop_at_cover checks,
 /// one BestCandidate() argmax, AddNode on the shared state, one
-/// CommitWinner() — with the usual prefix seeding, checkpoint cadence,
-/// telemetry and Solution assembly shared with the other executions.
+/// CommitWinner() — plus prefix seeding, checkpoint cadence, telemetry and
+/// Solution assembly. Every greedy execution runs on this loop.
 ///
-/// SolveGreedyLazy is exactly this driver over LazyCandidateEvaluator;
-/// SolveGreedyDistributed (src/dist/) is this driver over the
+/// SolveGreedy and SolveGreedyParallel are this driver over
+/// SweepCandidateEvaluator, SolveGreedyLazy over LazyCandidateEvaluator,
+/// and SolveGreedyDistributed (src/dist/) is this driver over the
 /// coordinator-side evaluator. Any evaluator whose BestCandidate returns
 /// the exact (gain, id)-argmax yields the canonical greedy solution,
 /// byte-identical across executions.
 Result<Solution> SolveGreedyWithEvaluator(
     const PreferenceGraph& graph, size_t k, const GreedyOptions& options,
     const CandidateEvaluatorFactory& factory, const char* algorithm);
-
-/// \brief Batched-CELF greedy: lazy pruning with the stale re-evaluations
-/// fanned out over `pool` (nullptr degrades to a serial batched loop).
-/// Produces the same solution as SolveGreedy for any thread count and any
-/// batch size, including under force_include/force_exclude and
-/// stop_at_cover.
-Result<Solution> SolveGreedyLazyParallel(
-    const PreferenceGraph& graph, size_t k, ThreadPool* pool,
-    const GreedyOptions& options = GreedyOptions());
 
 /// \brief The theoretical greedy approximation guarantee for a problem
 /// size (Table 1, "Greedy Algorithm" column):

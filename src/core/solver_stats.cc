@@ -29,24 +29,23 @@ double SolverStats::AvgIterationSeconds() const {
 }
 
 double SolverStats::PoolUtilization() const {
-  if (parallel_batches == 0 || threads == 0) return 0.0;
-  double per_dispatch = static_cast<double>(parallel_items) /
-                        static_cast<double>(parallel_batches);
-  return std::min(1.0, per_dispatch / static_cast<double>(threads));
+  if (!(pool_wall_seconds > 0.0) || threads == 0) return 0.0;
+  return std::min(1.0, pool_busy_seconds / (pool_wall_seconds *
+                                            static_cast<double>(threads)));
 }
 
 std::string SolverStats::ToString() const {
   char buffer[256];
   std::snprintf(buffer, sizeof(buffer),
                 "iters=%llu gains=%llu pops=%llu stale=%.1f%% "
-                "avg-iter=%s max-iter=%s threads=%zu batch=%zu util=%.0f%%",
+                "avg-iter=%s max-iter=%s threads=%zu util=%.0f%%",
                 static_cast<unsigned long long>(iterations),
                 static_cast<unsigned long long>(gain_evaluations),
                 static_cast<unsigned long long>(heap_pops),
                 StaleRatio() * 100.0,
                 FormatDuration(AvgIterationSeconds()).c_str(),
                 FormatDuration(max_iteration_seconds).c_str(), threads,
-                batch_size, PoolUtilization() * 100.0);
+                PoolUtilization() * 100.0);
   std::string out = buffer;
   if (truncated) out += " TRUNCATED";
   return out;

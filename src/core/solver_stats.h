@@ -3,9 +3,8 @@
 // *view* over that registry (plus the timing fields, which are plain
 // doubles measured by the run's stopwatch).
 //
-// The registry counters are sharded per thread, so the parallel
-// executions' workers bump them without a shared atomic; the serial hot
-// loops batch their tallies and flush once per selection round. At the
+// The executions' evaluators tally their work in plain counters that the
+// driver loop folds into the registry once per selection round. At the
 // end of a run the totals are also merged into
 // obs::MetricsRegistry::Global() under the same names, so a process-wide
 // metrics snapshot (CLI --metrics_out, bench harness) accumulates
@@ -42,11 +41,11 @@ inline constexpr char kCancelled[] = "solver.cancelled";
 /// Which fields are populated depends on the execution:
 ///   - every greedy execution fills `iterations`, `gain_evaluations` and
 ///     the iteration timings;
-///   - the lazy executions additionally fill `heap_pops` /
-///     `stale_refreshes`;
-///   - the parallel executions additionally fill `threads`,
-///     `parallel_batches` and `parallel_items` (and, for lazy-parallel,
-///     `batch_size`).
+///   - the lazy execution additionally fills `heap_pops` /
+///     `stale_refreshes` / `seed_refills`;
+///   - the parallel execution with a pool additionally fills `threads`,
+///     `parallel_batches`, `parallel_items` and the pool busy / wall
+///     seconds.
 struct SolverStats {
   /// Greedy selection rounds performed by the search loop (force_include
   /// seeding is not counted — it performs no candidate search).
@@ -69,8 +68,8 @@ struct SolverStats {
   /// the seed.
   uint64_t seed_refills = 0;
 
-  /// Parallel dispatches (one per `ParallelArgMax` / batched call) and the
-  /// total work items they carried.
+  /// Pool dispatches (one per parallel gain sweep) and the total work
+  /// items (nodes) they carried.
   uint64_t parallel_batches = 0;
   uint64_t parallel_items = 0;
 
@@ -78,8 +77,11 @@ struct SolverStats {
   /// null pool).
   size_t threads = 1;
 
-  /// Effective CELF batch size B (lazy-parallel only; 1 otherwise).
-  size_t batch_size = 1;
+  /// Pool time of the parallel sweeps: `pool_busy_seconds` sums every
+  /// chunk's wall time over all workers, `pool_wall_seconds` sums each
+  /// sweep's wall time on the calling thread (dispatch to last chunk).
+  double pool_busy_seconds = 0.0;
+  double pool_wall_seconds = 0.0;
 
   /// Wall time spent inside search iterations, in total and for the single
   /// slowest iteration.
@@ -93,7 +95,7 @@ struct SolverStats {
   bool truncated = false;
 
   /// \brief Fills the counter fields from a run-scoped registry snapshot
-  /// (the `solver_metric` names); timing/threads/batch fields are left
+  /// (the `solver_metric` names); timing/threads/pool fields are left
   /// untouched. This is how the greedy executions build their stats.
   void LoadCounters(const obs::MetricsSnapshot& snapshot);
 
@@ -104,9 +106,10 @@ struct SolverStats {
   /// total_iteration_seconds / iterations; 0 when nothing ran.
   double AvgIterationSeconds() const;
 
-  /// How full the average parallel dispatch kept the pool:
-  /// min(1, parallel_items / (parallel_batches * threads)).
-  /// 0 when no parallel dispatch happened (or the divisor would be 0).
+  /// The share of the pool's time inside the parallel sweeps that its
+  /// workers spent computing gains:
+  /// min(1, pool_busy_seconds / (pool_wall_seconds * threads)).
+  /// 0 when no parallel sweep ran (or the divisor would be 0).
   double PoolUtilization() const;
 
   /// One-line human-readable rendering, e.g. for CLI and bench output.

@@ -16,8 +16,6 @@ std::string AlgorithmDisplayName(Algorithm algorithm) {
       return "Greedy(lazy)";
     case Algorithm::kGreedyParallel:
       return "Greedy(parallel)";
-    case Algorithm::kGreedyLazyParallel:
-      return "Greedy(lazy-parallel)";
     case Algorithm::kConstrainedGreedy:
       return "Constrained";
     case Algorithm::kBruteForce:
@@ -111,10 +109,6 @@ Result<Solution> RunAlgorithm(Algorithm algorithm,
     case Algorithm::kGreedyParallel: {
       ThreadPool pool(num_threads);
       return SolveGreedyParallel(graph, k, &pool, options);
-    }
-    case Algorithm::kGreedyLazyParallel: {
-      ThreadPool pool(num_threads);
-      return SolveGreedyLazyParallel(graph, k, &pool, options);
     }
     case Algorithm::kConstrainedGreedy:
       return Status::Internal("unreachable");  // dispatched above

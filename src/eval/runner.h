@@ -20,11 +20,10 @@ namespace prefcover {
 /// \brief Solver identifiers for suite runs; mirrors the paper's
 /// competitor list (Section 5.3).
 enum class Algorithm {
-  kGreedy,              // plain Algorithm 1
-  kGreedyLazy,          // CELF execution of Algorithm 1 (same output)
-  kGreedyParallel,      // thread-pooled execution of Algorithm 1 (same output)
-  kGreedyLazyParallel,  // batched CELF on a thread pool (same output)
-  kConstrainedGreedy,   // cost-ratio greedy under a ConstraintSpec
+  kGreedy,             // plain Algorithm 1
+  kGreedyLazy,         // CELF execution of Algorithm 1 (same output)
+  kGreedyParallel,     // thread-pooled execution of Algorithm 1 (same output)
+  kConstrainedGreedy,  // cost-ratio greedy under a ConstraintSpec
   kBruteForce,
   kTopKWeight,
   kTopKCoverage,
@@ -52,7 +51,7 @@ Result<Solution> RunAlgorithm(Algorithm algorithm,
                               size_t num_threads = 1);
 
 /// \brief As above, but with full greedy options (stop_at_cover,
-/// force_include, batch_size, ...) for the greedy family; `options.variant`
+/// force_include, checkpointing, ...) for the greedy family; `options.variant`
 /// is used for every algorithm. This is the entry point the CLI uses so
 /// traced solves carry the eval phase span.
 Result<Solution> RunAlgorithm(Algorithm algorithm,

@@ -105,7 +105,7 @@ class PreferenceGraph {
   /// All node ids ordered by descending StaticGainBounds() (ties by
   /// ascending id). A scan in this order can stop as soon as a running
   /// top-T threshold exceeds the next bound — the kernel tiers' heap
-  /// seed (core/greedy_solver.cc).
+  /// seed (BuildCelfSeedBounded, core/candidate_evaluator.cc).
   std::span<const NodeId> NodesByStaticGainBound() const {
     return bound_order_;
   }

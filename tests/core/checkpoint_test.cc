@@ -161,14 +161,14 @@ TEST(GreedyOptionsHashTest, SensitiveToSelectionOrderInputs) {
 }
 
 TEST(GreedyOptionsHashTest, InsensitiveToExecutionKnobs) {
-  // batch_size, cancellation and checkpoint wiring do not affect the
-  // selected sequence, so a resume may legally change them.
+  // seed_heap_capacity, cancellation and checkpoint wiring do not affect
+  // the selected sequence, so a resume may legally change them.
   GreedyOptions base;
   const uint64_t h = GreedyOptionsHash(base, 10);
 
-  GreedyOptions batched = base;
-  batched.batch_size = 64;
-  EXPECT_EQ(GreedyOptionsHash(batched, 10), h);
+  GreedyOptions capped = base;
+  capped.seed_heap_capacity = 64;
+  EXPECT_EQ(GreedyOptionsHash(capped, 10), h);
 
   CancelToken token;
   GreedyOptions cancellable = base;

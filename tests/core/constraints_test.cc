@@ -53,7 +53,7 @@ TEST(ConstraintsTest, ExcludedItemStillCoverable) {
   EXPECT_DOUBLE_EQ(sol->ItemCoverage(g, 2), 1.0);
 }
 
-// Runs one options instance through all four greedy entry points and
+// Runs one options instance through all three greedy entry points and
 // asserts they reject (or accept) it identically — same status code, same
 // message — so no solver can drift into private validation behavior.
 void ExpectUniformValidation(const PreferenceGraph& g, size_t k,
@@ -63,17 +63,15 @@ void ExpectUniformValidation(const PreferenceGraph& g, size_t k,
   auto plain = SolveGreedy(g, k, options);
   auto lazy = SolveGreedyLazy(g, k, options);
   auto parallel = SolveGreedyParallel(g, k, &pool, options);
-  auto lazy_parallel = SolveGreedyLazyParallel(g, k, &pool, options);
   EXPECT_EQ(plain.status().IsInvalidArgument(), expect_invalid);
   EXPECT_EQ(lazy.status().ToString(), plain.status().ToString());
   EXPECT_EQ(parallel.status().ToString(), plain.status().ToString());
-  EXPECT_EQ(lazy_parallel.status().ToString(), plain.status().ToString());
   // The standalone validator agrees with what the solvers enforced.
   EXPECT_EQ(ValidateGreedyOptions(g, k, options).IsInvalidArgument(),
             expect_invalid);
 }
 
-TEST(ConstraintsTest, ValidationErrorsUniformAcrossAllFourExecutions) {
+TEST(ConstraintsTest, ValidationErrorsUniformAcrossAllExecutions) {
   PreferenceGraph g = MakePaperExampleGraph();
   {
     GreedyOptions options;
@@ -112,7 +110,7 @@ TEST(ConstraintsTest, ValidationErrorsUniformAcrossAllFourExecutions) {
     ExpectUniformValidation(g, 2, options, true);
   }
   {
-    // A fully-loaded valid instance is accepted by all four.
+    // A fully-loaded valid instance is accepted by all three.
     GreedyOptions options;
     options.force_include = {kE};
     options.force_exclude = {kA};
@@ -121,7 +119,7 @@ TEST(ConstraintsTest, ValidationErrorsUniformAcrossAllFourExecutions) {
   }
 }
 
-TEST(ConstraintsTest, AllFourExecutionsAgreeUnderConstraints) {
+TEST(ConstraintsTest, AllExecutionsAgreeUnderConstraints) {
   Rng rng(31);
   UniformGraphParams params;
   params.num_nodes = 120;
@@ -136,12 +134,9 @@ TEST(ConstraintsTest, AllFourExecutionsAgreeUnderConstraints) {
   auto lazy = SolveGreedyLazy(*g, k, options);
   ThreadPool pool(3);
   auto parallel = SolveGreedyParallel(*g, k, &pool, options);
-  auto lazy_parallel = SolveGreedyLazyParallel(*g, k, &pool, options);
-  ASSERT_TRUE(plain.ok() && lazy.ok() && parallel.ok() &&
-              lazy_parallel.ok());
+  ASSERT_TRUE(plain.ok() && lazy.ok() && parallel.ok());
   EXPECT_EQ(plain->items, lazy->items);
   EXPECT_EQ(plain->items, parallel->items);
-  EXPECT_EQ(plain->items, lazy_parallel->items);
   EXPECT_EQ(plain->items[0], 7u);
   EXPECT_EQ(plain->items[1], 33u);
   for (NodeId banned : options.force_exclude) {

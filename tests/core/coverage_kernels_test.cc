@@ -1,7 +1,8 @@
 // Differential battery for the coverage kernels: every dispatch level
 // (scalar / word / AVX2 when the build and CPU provide it) must produce
 // BIT-identical doubles to the scalar oracle — per GainOf call, per
-// AddNode update, and end to end through all four greedy executions.
+// GainsInto range (split at arbitrary ids), per AddNode update, and end
+// to end through all three greedy executions.
 // No tolerances anywhere: the contract is byte equality, which is what
 // makes solutions independent of the host CPU.
 //
@@ -13,8 +14,10 @@
 
 #include "core/coverage_kernels.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -116,12 +119,34 @@ void RunLockstepDifferential(const PreferenceGraph& g, Variant variant,
   CoverState fast(&g, variant, level);
   ASSERT_EQ(oracle.simd_level(), SimdLevel::kScalar);
   ASSERT_EQ(fast.simd_level(), level) << label;
+  const size_t n = g.NumNodes();
+  Rng rng(n * 1000003 + add_order.size());
+  std::vector<double> swept(n);
 
   for (size_t step = 0; step <= add_order.size(); ++step) {
     for (NodeId v = 0; v < g.NumNodes(); ++v) {
       if (oracle.IsRetained(v)) continue;
       ASSERT_TRUE(BitsEqual(oracle.GainOf(v), fast.GainOf(v)))
           << label << " GainOf(" << v << ") step " << step;
+    }
+    // The parallel sweep cuts [0, n) at arbitrary ids: GainsInto over a
+    // random disjoint split must write every value bit-identical to the
+    // per-node oracle, whatever the range boundaries.
+    std::vector<size_t> cuts = {0, n};
+    const uint64_t num_cuts = 1 + rng.NextBounded(8);
+    for (uint64_t c = 0; c < num_cuts; ++c) {
+      cuts.push_back(static_cast<size_t>(rng.NextBounded(n + 1)));
+    }
+    std::sort(cuts.begin(), cuts.end());
+    std::fill(swept.begin(), swept.end(),
+              std::numeric_limits<double>::quiet_NaN());
+    for (size_t c = 0; c + 1 < cuts.size(); ++c) {
+      fast.GainsInto(cuts[c], cuts[c + 1], swept);
+    }
+    for (NodeId v = 0; v < g.NumNodes(); ++v) {
+      if (oracle.IsRetained(v)) continue;
+      ASSERT_TRUE(BitsEqual(oracle.GainOf(v), swept[v]))
+          << label << " GainsInto split at node " << v << " step " << step;
     }
     if (step == add_order.size()) break;
     const NodeId v = add_order[step];
@@ -219,7 +244,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------
-// End-to-end: all four greedy executions, forced to each level via the
+// End-to-end: all three greedy executions, forced to each level via the
 // PREFCOVER_SIMD_LEVEL hook, produce Solutions byte-identical to the
 // scalar run — items, per-prefix covers, final cover and the I array.
 
@@ -258,7 +283,7 @@ void ExpectSolutionsIdentical(const Solution& reference,
 }
 
 struct LevelSolutions {
-  Solution plain, lazy, parallel, lazy_parallel;
+  Solution plain, lazy, parallel;
 };
 
 LevelSolutions SolveAllExecutions(const PreferenceGraph& g, size_t k,
@@ -270,16 +295,10 @@ LevelSolutions SolveAllExecutions(const PreferenceGraph& g, size_t k,
   auto plain = SolveGreedy(g, k, options);
   auto lazy = SolveGreedyLazy(g, k, options);
   auto parallel = SolveGreedyParallel(g, k, pool, options);
-  GreedyOptions batched = options;
-  batched.batch_size = 16;
-  auto lazy_parallel = SolveGreedyLazyParallel(g, k, pool, batched);
-  EXPECT_TRUE(plain.ok() && lazy.ok() && parallel.ok() &&
-              lazy_parallel.ok())
-      << label;
+  EXPECT_TRUE(plain.ok() && lazy.ok() && parallel.ok()) << label;
   out.plain = std::move(plain).value();
   out.lazy = std::move(lazy).value();
   out.parallel = std::move(parallel).value();
-  out.lazy_parallel = std::move(lazy_parallel).value();
   return out;
 }
 
@@ -302,8 +321,6 @@ TEST(KernelSolverDifferentialTest,
       // The scalar run is internally consistent across executions.
       ExpectSolutionsIdentical(reference.plain, reference.lazy, label);
       ExpectSolutionsIdentical(reference.plain, reference.parallel, label);
-      ExpectSolutionsIdentical(reference.plain, reference.lazy_parallel,
-                               label);
     }
     for (SimdLevel level : SupportedLevels()) {
       if (level == SimdLevel::kScalar) continue;
@@ -315,8 +332,6 @@ TEST(KernelSolverDifferentialTest,
       ExpectSolutionsIdentical(reference.plain, fast.plain, level_label);
       ExpectSolutionsIdentical(reference.plain, fast.lazy, level_label);
       ExpectSolutionsIdentical(reference.plain, fast.parallel, level_label);
-      ExpectSolutionsIdentical(reference.plain, fast.lazy_parallel,
-                               level_label);
     }
   }
 }

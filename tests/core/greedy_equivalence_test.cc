@@ -1,12 +1,11 @@
-// Differential test harness for the four executions of Algorithm 1.
+// Differential test harness for the three executions of Algorithm 1.
 //
-// The contract under test: SolveGreedy, SolveGreedyParallel,
-// SolveGreedyLazy and SolveGreedyLazyParallel select byte-identical
-// retained sequences and covers on every instance — for any thread count
-// and any CELF batch size, with and without force_include /
+// The contract under test: SolveGreedy, SolveGreedyParallel and
+// SolveGreedyLazy select byte-identical retained sequences and covers on
+// every instance — for any thread count, with and without force_include /
 // force_exclude / stop_at_cover. ~50 seeded random graphs (Zipf node
 // weights, both variants, varying k/n) are swept against thread counts
-// {1, 2, 8} and batch sizes {1, 4, 64}.
+// {1, 2, 8}.
 
 #include <algorithm>
 #include <string>
@@ -24,7 +23,6 @@ namespace {
 
 constexpr size_t kNumSeeds = 50;
 constexpr size_t kThreadCounts[] = {1, 2, 8};
-constexpr size_t kBatchSizes[] = {1, 4, 64};
 
 struct DiffInstance {
   PreferenceGraph graph;
@@ -117,20 +115,6 @@ TEST(GreedyDifferentialTest, AllExecutionsAgreeOnSeededRandomGraphs) {
       ExpectIdentical(*plain, *parallel,
                       label + " threads=" +
                           std::to_string(kThreadCounts[t]));
-
-      for (size_t batch : kBatchSizes) {
-        GreedyOptions options = instance.options;
-        options.batch_size = batch;
-        auto lazy_parallel = SolveGreedyLazyParallel(
-            instance.graph, instance.k, pool, options);
-        ASSERT_TRUE(lazy_parallel.ok())
-            << label << " threads=" << kThreadCounts[t]
-            << " batch=" << batch;
-        ExpectIdentical(*plain, *lazy_parallel,
-                        label + " threads=" +
-                            std::to_string(kThreadCounts[t]) +
-                            " batch=" + std::to_string(batch));
-      }
     }
 
     // Constraint semantics hold on every instance that carries them.
@@ -146,36 +130,12 @@ TEST(GreedyDifferentialTest, AllExecutionsAgreeOnSeededRandomGraphs) {
   }
 }
 
-TEST(GreedyDifferentialTest, LazyParallelWithNullPoolMatchesPlain) {
-  DiffInstance instance = MakeInstance(11);
-  auto plain = SolveGreedy(instance.graph, instance.k, instance.options);
-  auto lazy_parallel = SolveGreedyLazyParallel(instance.graph, instance.k,
-                                               nullptr, instance.options);
-  ASSERT_TRUE(plain.ok() && lazy_parallel.ok());
-  ExpectIdentical(*plain, *lazy_parallel, instance.label + " null-pool");
-}
-
-TEST(GreedyDifferentialTest, OversizedBatchMatchesPlain) {
-  // A batch larger than the candidate pool refreshes everything at once —
-  // degenerate but must still select the identical sequence.
-  DiffInstance instance = MakeInstance(7);
-  GreedyOptions options = instance.options;
-  options.batch_size = 100000;
-  ThreadPool pool(4);
-  auto plain = SolveGreedy(instance.graph, instance.k, instance.options);
-  auto lazy_parallel = SolveGreedyLazyParallel(instance.graph, instance.k,
-                                               &pool, options);
-  ASSERT_TRUE(plain.ok() && lazy_parallel.ok());
-  ExpectIdentical(*plain, *lazy_parallel, instance.label + " huge-batch");
-}
-
 TEST(GreedyDifferentialTest, ThresholdSeedCapacitySweepMatchesPlain) {
   // The CELF heap seed keeps only the top-seed_heap_capacity candidates
   // and pulls the rest back in through exact threshold refills. Tiny
   // capacities force refills constantly (capacity 1 refills on every
   // heap drain); the selected sequence must stay byte-identical to plain
   // greedy for every value.
-  ThreadPool pool(4);
   const size_t kCapacities[] = {1, 2, 7, 64};
   for (uint64_t seed = 0; seed < kNumSeeds; seed += 5) {
     DiffInstance instance = MakeInstance(seed);
@@ -192,19 +152,11 @@ TEST(GreedyDifferentialTest, ThresholdSeedCapacitySweepMatchesPlain) {
       ASSERT_TRUE(lazy.ok()) << label;
       ExpectIdentical(*plain, *lazy, label);
 
-      options.batch_size = 4;
-      auto lazy_parallel = SolveGreedyLazyParallel(instance.graph,
-                                                   instance.k, &pool,
-                                                   options);
-      ASSERT_TRUE(lazy_parallel.ok()) << label;
-      ExpectIdentical(*plain, *lazy_parallel, label);
-
       // Capacity 1 drains the kept pool on every selection, so any run
       // with at least two searched rounds must have refilled — proving
       // the sweep actually exercises the refill path.
       if (cap == 1 && lazy->stats.iterations >= 2) {
         EXPECT_GT(lazy->stats.seed_refills, 0u) << label;
-        EXPECT_GT(lazy_parallel->stats.seed_refills, 0u) << label;
       }
       // Full-capacity seeds never truncate, so they never refill.
       if (cap >= instance.graph.NumNodes()) {
@@ -226,21 +178,16 @@ TEST(GreedyDifferentialTest, DefaultSeedCapacityCoversSmallInstances) {
 TEST(GreedyDifferentialTest, SolverStatsArePopulatedAndConsistent) {
   DiffInstance instance = MakeInstance(4);  // a constrained instance
   ThreadPool pool(2);
-  GreedyOptions options = instance.options;
-  options.batch_size = 4;
+  const GreedyOptions& options = instance.options;
 
   auto plain = SolveGreedy(instance.graph, instance.k, options);
   auto parallel =
       SolveGreedyParallel(instance.graph, instance.k, &pool, options);
   auto lazy = SolveGreedyLazy(instance.graph, instance.k, options);
-  auto lazy_parallel = SolveGreedyLazyParallel(instance.graph, instance.k,
-                                               &pool, options);
-  ASSERT_TRUE(plain.ok() && parallel.ok() && lazy.ok() &&
-              lazy_parallel.ok());
+  ASSERT_TRUE(plain.ok() && parallel.ok() && lazy.ok());
 
   const uint64_t forced = options.force_include.size();
-  for (const Solution* sol :
-       {&*plain, &*parallel, &*lazy, &*lazy_parallel}) {
+  for (const Solution* sol : {&*plain, &*parallel, &*lazy}) {
     EXPECT_EQ(sol->stats.iterations, sol->items.size() - forced)
         << sol->algorithm;
     EXPECT_GT(sol->stats.gain_evaluations, 0u) << sol->algorithm;
@@ -252,24 +199,32 @@ TEST(GreedyDifferentialTest, SolverStatsArePopulatedAndConsistent) {
 
   // Plain and parallel evaluate the same candidate set each round.
   EXPECT_EQ(parallel->stats.gain_evaluations, plain->stats.gain_evaluations);
-  EXPECT_EQ(parallel->stats.threads, 2u);
 
-  // The lazy executions prune: never more evaluations than the full scan,
-  // and their heap telemetry is filled in.
+  // Only the pooled sweep dispatches: one n-item dispatch per round, with
+  // busy time measured on the pool.
+  const uint64_t n = instance.graph.NumNodes();
+  EXPECT_EQ(plain->stats.threads, 1u);
+  EXPECT_EQ(plain->stats.parallel_batches, 0u);
+  EXPECT_DOUBLE_EQ(plain->stats.PoolUtilization(), 0.0);
+  EXPECT_EQ(parallel->stats.threads, 2u);
+  EXPECT_EQ(parallel->stats.parallel_batches, parallel->stats.iterations);
+  EXPECT_EQ(parallel->stats.parallel_items,
+            parallel->stats.parallel_batches * n);
+  EXPECT_GT(parallel->stats.pool_busy_seconds, 0.0);
+  EXPECT_GT(parallel->stats.pool_wall_seconds, 0.0);
+  EXPECT_GT(parallel->stats.PoolUtilization(), 0.0);
+  EXPECT_LE(parallel->stats.PoolUtilization(), 1.0);
+
+  // The lazy execution prunes: never more evaluations than the full scan,
+  // and its heap telemetry is filled in.
   EXPECT_LE(lazy->stats.gain_evaluations, plain->stats.gain_evaluations);
-  EXPECT_LE(lazy_parallel->stats.gain_evaluations,
-            plain->stats.gain_evaluations);
   EXPECT_GT(lazy->stats.heap_pops, 0u);
-  EXPECT_GT(lazy_parallel->stats.heap_pops, 0u);
   EXPECT_GE(lazy->stats.StaleRatio(), 0.0);
   EXPECT_LE(lazy->stats.StaleRatio(), 1.0);
-  EXPECT_EQ(lazy_parallel->stats.batch_size, 4u);
-  EXPECT_EQ(lazy_parallel->stats.threads, 2u);
-  EXPECT_GT(lazy_parallel->stats.parallel_batches, 0u);
-  EXPECT_GT(lazy_parallel->stats.PoolUtilization(), 0.0);
-  EXPECT_LE(lazy_parallel->stats.PoolUtilization(), 1.0);
 
-  EXPECT_EQ(lazy_parallel->algorithm, "greedy-lazy-parallel");
+  EXPECT_EQ(plain->algorithm, "greedy");
+  EXPECT_EQ(parallel->algorithm, "greedy-parallel");
+  EXPECT_EQ(lazy->algorithm, "greedy-lazy");
 }
 
 }  // namespace

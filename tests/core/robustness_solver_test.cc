@@ -21,11 +21,10 @@
 namespace prefcover {
 namespace {
 
-enum class Execution { kPlain, kParallel, kLazy, kLazyParallel };
+enum class Execution { kPlain, kParallel, kLazy };
 
 const Execution kAllExecutions[] = {Execution::kPlain, Execution::kParallel,
-                                    Execution::kLazy,
-                                    Execution::kLazyParallel};
+                                    Execution::kLazy};
 const Variant kBothVariants[] = {Variant::kIndependent,
                                  Variant::kNormalized};
 
@@ -37,8 +36,6 @@ const char* ExecutionName(Execution execution) {
       return "parallel";
     case Execution::kLazy:
       return "lazy";
-    case Execution::kLazyParallel:
-      return "lazy_parallel";
   }
   return "?";
 }
@@ -53,8 +50,6 @@ Result<Solution> RunExecution(Execution execution, const PreferenceGraph& graph,
       return SolveGreedyParallel(graph, k, &pool, options);
     case Execution::kLazy:
       return SolveGreedyLazy(graph, k, options);
-    case Execution::kLazyParallel:
-      return SolveGreedyLazyParallel(graph, k, &pool, options);
   }
   return Status::Internal("unreachable");
 }
@@ -293,18 +288,18 @@ TEST(CheckpointResumeTest, ResumeAcrossExecutionsIsLegal) {
   options.checkpoint.path = path;
   options.checkpoint.every_rounds = 4;
   ThreadPool pool(4);
-  auto first = SolveGreedyLazyParallel(graph, k, &pool, options);
+  auto first = SolveGreedyParallel(graph, k, &pool, options);
   ASSERT_TRUE(first.ok());
 
   auto ckpt = ReadCheckpoint(path);
   ASSERT_TRUE(ckpt.ok());
-  GreedyOptions plain_options;
-  plain_options.batch_size = 7;  // execution knobs may change freely
+  GreedyOptions resume_options;
+  resume_options.seed_heap_capacity = 7;  // execution knobs may change
   auto prefix =
-      ValidateCheckpointForResume(*ckpt, graph, k, plain_options);
+      ValidateCheckpointForResume(*ckpt, graph, k, resume_options);
   ASSERT_TRUE(prefix.ok()) << prefix.status().ToString();
-  plain_options.checkpoint.resume_prefix = *prefix;
-  auto resumed = SolveGreedy(graph, k, plain_options);
+  resume_options.checkpoint.resume_prefix = *prefix;
+  auto resumed = SolveGreedyLazy(graph, k, resume_options);
   ASSERT_TRUE(resumed.ok());
   EXPECT_EQ(resumed->items, first->items);
 }

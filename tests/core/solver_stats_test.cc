@@ -40,8 +40,8 @@ TEST(SolverStatsTest, StaleRatioIsFractionOfPops) {
 
 TEST(SolverStatsTest, ZeroThreadsDoesNotDivideByZero) {
   SolverStats stats;
-  stats.parallel_batches = 4;
-  stats.parallel_items = 100;
+  stats.pool_busy_seconds = 1.0;
+  stats.pool_wall_seconds = 1.0;
   stats.threads = 0;
   EXPECT_DOUBLE_EQ(stats.PoolUtilization(), 0.0);
 }
@@ -49,18 +49,23 @@ TEST(SolverStatsTest, ZeroThreadsDoesNotDivideByZero) {
 TEST(SolverStatsTest, SaturatedPoolClampsUtilizationToOne) {
   SolverStats stats;
   stats.threads = 4;
-  stats.parallel_batches = 10;
-  // 100 items per dispatch on 4 threads: over-subscribed, clamps to 1.
-  stats.parallel_items = 1000;
+  // Per-chunk and per-sweep clocks are read separately, so busy time can
+  // overshoot wall x threads by a hair on a fully busy pool.
+  stats.pool_wall_seconds = 1.0;
+  stats.pool_busy_seconds = 4.02;
   EXPECT_DOUBLE_EQ(stats.PoolUtilization(), 1.0);
 }
 
-TEST(SolverStatsTest, PartialUtilizationIsItemsPerSlot) {
+TEST(SolverStatsTest, PartialUtilizationIsBusyShareOfPoolTime) {
   SolverStats stats;
   stats.threads = 8;
+  stats.pool_wall_seconds = 2.0;
+  stats.pool_busy_seconds = 4.0;  // half of 8 workers x 2 s
+  EXPECT_DOUBLE_EQ(stats.PoolUtilization(), 0.25);
+  // Dispatch and item counts no longer enter the ratio.
   stats.parallel_batches = 10;
-  stats.parallel_items = 40;  // 4 items per dispatch on 8 threads
-  EXPECT_DOUBLE_EQ(stats.PoolUtilization(), 0.5);
+  stats.parallel_items = 1000;
+  EXPECT_DOUBLE_EQ(stats.PoolUtilization(), 0.25);
 }
 
 TEST(SolverStatsTest, LoadCountersReadsRunScopedRegistry) {
@@ -83,12 +88,12 @@ TEST(SolverStatsTest, LoadCountersReadsRunScopedRegistry) {
   EXPECT_EQ(stats.stale_refreshes, 11u);
   EXPECT_EQ(stats.parallel_batches, 3u);
   EXPECT_EQ(stats.parallel_items, 12u);
-  // Timing/threads fields are untouched by LoadCounters.
+  // Timing/threads/pool fields are untouched by LoadCounters.
   EXPECT_EQ(stats.threads, 4u);
   EXPECT_DOUBLE_EQ(stats.total_iteration_seconds, 1.4);
   EXPECT_DOUBLE_EQ(stats.AvgIterationSeconds(), 0.2);
   EXPECT_DOUBLE_EQ(stats.StaleRatio(), 0.2);
-  EXPECT_DOUBLE_EQ(stats.PoolUtilization(), 1.0);
+  EXPECT_DOUBLE_EQ(stats.PoolUtilization(), 0.0);
 }
 
 TEST(SolverStatsTest, LoadCountersTreatsMissingNamesAsZero) {

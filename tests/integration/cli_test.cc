@@ -127,6 +127,42 @@ TEST_F(CliPipelineTest, SolveWithEachAlgorithm) {
   EXPECT_NE(RunCli(CliPath() + " solve --graph=" + graph_ +
                 " --k=10 --algorithm=bogus"),
             0);
+  // The batched-CELF execution is gone; its name is an unknown algorithm.
+  std::string output;
+  EXPECT_NE(RunCliCapture(CliPath() + " solve --graph=" + graph_ +
+                              " --k=10 --algorithm=lazy-parallel",
+                          &output),
+            0);
+  EXPECT_NE(output.find("unknown algorithm lazy-parallel"), std::string::npos)
+      << output;
+}
+
+TEST_F(CliPipelineTest, SolveRejectsThreadsOutsideRange) {
+  SetUpPipeline();
+  // Each worker is an OS thread: a negative count must not wrap to
+  // SIZE_MAX, and a huge one must not start that many threads.
+  for (const char* threads : {"-1", "0", "257"}) {
+    std::string output;
+    EXPECT_NE(RunCliCapture(CliPath() + " solve --graph=" + graph_ +
+                                " --k=10 --algorithm=parallel --threads=" +
+                                threads,
+                            &output),
+              0)
+        << threads;
+    EXPECT_NE(output.find("error: InvalidArgument: --threads must be in "
+                          "[1, 256], got " +
+                          std::string(threads)),
+              std::string::npos)
+        << output;
+  }
+  // The bounds themselves are accepted (lazy builds no pool, so the upper
+  // one starts no threads).
+  EXPECT_EQ(RunCli(CliPath() + " solve --graph=" + graph_ +
+                   " --k=10 --algorithm=parallel --threads=1"),
+            0);
+  EXPECT_EQ(RunCli(CliPath() + " solve --graph=" + graph_ +
+                   " --k=10 --algorithm=lazy --threads=256"),
+            0);
 }
 
 TEST(CliTest, NoArgumentsShowsUsageAndFails) {
@@ -374,7 +410,7 @@ TEST_F(CliPipelineTest, SolveWritesTraceAndMetrics) {
   std::string trace = TempPath("trace.json");
   std::string metrics = TempPath("metrics.json");
   ASSERT_EQ(RunCli(CliPath() + " solve --clicks=" + clicks_ +
-                   " --variant=independent --k=10 --algorithm=lazy-parallel"
+                   " --variant=independent --k=10 --algorithm=parallel"
                    " --threads=2 --trace_out=" + trace +
                    " --metrics_out=" + metrics),
             0);

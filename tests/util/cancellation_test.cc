@@ -153,32 +153,5 @@ TEST(ParallelForCancelTest, MidRunCancelSkipsRemainingChunks) {
   EXPECT_EQ(executed.load(), 5'000u);
 }
 
-TEST(ParallelForCancelTest, CancelledArgMaxSignalsEmptyResult) {
-  ThreadPool pool(4);
-  CancelToken token;
-  token.Cancel();
-  double best = 0.0;
-  const size_t n = 1'000;
-  size_t arg = ParallelArgMax(
-      &pool, n, [](size_t i) { return static_cast<double>(i); }, &best,
-      &token);
-  // Every chunk was skipped, so the documented "all skipped" sentinel.
-  EXPECT_EQ(arg, n);
-}
-
-TEST(ParallelForCancelTest, CancelledArgMaxBatchSignalsEmptyResult) {
-  ThreadPool pool(4);
-  CancelToken token;
-  token.Cancel();
-  std::vector<size_t> candidates(100);
-  for (size_t j = 0; j < candidates.size(); ++j) candidates[j] = j;
-  std::vector<double> scores;
-  double best = 0.0;
-  size_t pos = ParallelArgMaxBatch(
-      &pool, candidates, [](size_t i) { return static_cast<double>(i); },
-      &scores, &best, &token);
-  EXPECT_EQ(pos, candidates.size());
-}
-
 }  // namespace
 }  // namespace prefcover

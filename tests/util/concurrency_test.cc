@@ -1,7 +1,6 @@
-// Tests for ThreadPool, ParallelFor and ParallelArgMax.
+// Tests for ThreadPool and ParallelFor.
 
 #include <atomic>
-#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -136,182 +135,6 @@ TEST(ParallelForChunkedTest, WorkerIndicesAreDistinct) {
   std::sort(workers.begin(), workers.end());
   for (size_t i = 0; i < workers.size(); ++i) {
     EXPECT_EQ(workers[i], i);
-  }
-}
-
-class ParallelArgMaxTest : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(ParallelArgMaxTest, FindsUniqueMaximum) {
-  ThreadPool pool(GetParam());
-  std::vector<double> scores(500);
-  for (size_t i = 0; i < scores.size(); ++i) {
-    scores[i] = static_cast<double>((i * 37) % 499);
-  }
-  scores[371] = 1000.0;
-  double best = 0.0;
-  size_t arg = ParallelArgMax(&pool, scores.size(),
-                              [&scores](size_t i) { return scores[i]; },
-                              &best);
-  EXPECT_EQ(arg, 371u);
-  EXPECT_DOUBLE_EQ(best, 1000.0);
-}
-
-TEST_P(ParallelArgMaxTest, TieBreaksToSmallerIndex) {
-  ThreadPool pool(GetParam());
-  std::vector<double> scores(100, 1.0);
-  scores[30] = 5.0;
-  scores[70] = 5.0;
-  double best = 0.0;
-  size_t arg = ParallelArgMax(&pool, scores.size(),
-                              [&scores](size_t i) { return scores[i]; },
-                              &best);
-  EXPECT_EQ(arg, 30u);
-}
-
-TEST_P(ParallelArgMaxTest, AllSkippedReturnsN) {
-  ThreadPool pool(GetParam());
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  double best = 0.0;
-  size_t arg = ParallelArgMax(&pool, 50, [](size_t) { return kNegInf; },
-                              &best);
-  EXPECT_EQ(arg, 50u);
-}
-
-INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelArgMaxTest,
-                         ::testing::Values(1, 2, 4, 8));
-
-TEST(ParallelArgMaxTest, TieBreakStableUnderContention) {
-  // The solvers' determinism rests on "equal scores -> smaller index
-  // wins" holding for every chunk/thread interleaving. Hammer it: many
-  // equal-score candidates, a wide pool, 100 repetitions.
-  ThreadPool pool(8);
-  std::vector<double> scores(1024, 1.0);
-  scores[97] = 7.0;
-  scores[98] = 7.0;
-  scores[641] = 7.0;  // equal maxima far apart, in different chunks
-  for (int rep = 0; rep < 100; ++rep) {
-    double best = 0.0;
-    size_t arg = ParallelArgMax(&pool, scores.size(),
-                                [&scores](size_t i) { return scores[i]; },
-                                &best);
-    ASSERT_EQ(arg, 97u) << "rep " << rep;
-    ASSERT_DOUBLE_EQ(best, 7.0);
-  }
-  // All-equal input: index 0 must win every time.
-  for (int rep = 0; rep < 100; ++rep) {
-    double best = 0.0;
-    size_t arg = ParallelArgMax(&pool, 512, [](size_t) { return 3.5; },
-                                &best);
-    ASSERT_EQ(arg, 0u) << "rep " << rep;
-  }
-}
-
-TEST(ParallelArgMaxTest, MatchesSerialForManySeeds) {
-  ThreadPool pool(4);
-  for (uint64_t seed = 0; seed < 20; ++seed) {
-    std::vector<double> scores(211);
-    uint64_t state = seed * 2654435761u + 1;
-    for (auto& s : scores) {
-      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-      s = static_cast<double>(state >> 40);
-    }
-    size_t serial_arg = 0;
-    for (size_t i = 1; i < scores.size(); ++i) {
-      if (scores[i] > scores[serial_arg]) serial_arg = i;
-    }
-    double best = 0.0;
-    size_t parallel_arg = ParallelArgMax(
-        &pool, scores.size(), [&scores](size_t i) { return scores[i]; },
-        &best);
-    EXPECT_EQ(parallel_arg, serial_arg) << "seed " << seed;
-    EXPECT_DOUBLE_EQ(best, scores[serial_arg]);
-  }
-}
-
-class ParallelArgMaxBatchTest : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(ParallelArgMaxBatchTest, EvaluatesEveryCandidateAndFindsMax) {
-  ThreadPool pool(GetParam());
-  // Candidates in heap-pop-like (arbitrary, descending) order.
-  std::vector<size_t> candidates = {90, 51, 12, 77, 3, 68, 25, 44};
-  std::vector<double> scores;
-  double best = 0.0;
-  size_t pos = ParallelArgMaxBatch(
-      &pool, candidates,
-      [](size_t v) { return static_cast<double>(v % 10); }, &scores, &best);
-  ASSERT_EQ(scores.size(), candidates.size());
-  for (size_t j = 0; j < candidates.size(); ++j) {
-    EXPECT_DOUBLE_EQ(scores[j], static_cast<double>(candidates[j] % 10));
-  }
-  // Max score 8.0 is attained by 68 only.
-  EXPECT_EQ(candidates[pos], 68u);
-  EXPECT_DOUBLE_EQ(best, 8.0);
-}
-
-TEST_P(ParallelArgMaxBatchTest, TieBreaksToSmallerCandidateValue) {
-  ThreadPool pool(GetParam());
-  // 44, 12 and 77 all score 9; the smaller candidate *value* (12) must
-  // win even though it sits mid-list — heap-pop order is arbitrary, so
-  // position cannot be the tie key.
-  std::vector<size_t> candidates = {44, 51, 12, 90, 77};
-  auto score = [](size_t v) {
-    return (v == 44 || v == 12 || v == 77) ? 9.0 : 1.0;
-  };
-  double best = 0.0;
-  size_t pos = ParallelArgMaxBatch(&pool, candidates, score, nullptr, &best);
-  EXPECT_EQ(candidates[pos], 12u);
-  EXPECT_DOUBLE_EQ(best, 9.0);
-}
-
-TEST_P(ParallelArgMaxBatchTest, AllSkippedOrEmptyReturnsSize) {
-  ThreadPool pool(GetParam());
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  std::vector<size_t> candidates = {5, 6, 7};
-  std::vector<double> scores;
-  size_t pos = ParallelArgMaxBatch(&pool, candidates,
-                                   [](size_t) { return kNegInf; }, &scores,
-                                   nullptr);
-  EXPECT_EQ(pos, candidates.size());
-  ASSERT_EQ(scores.size(), 3u);
-  std::vector<size_t> empty;
-  EXPECT_EQ(ParallelArgMaxBatch(&pool, empty,
-                                [](size_t) { return 1.0; }, nullptr,
-                                nullptr),
-            0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelArgMaxBatchTest,
-                         ::testing::Values(1, 2, 4, 8));
-
-TEST(ParallelArgMaxBatchTest, NullPoolRunsInline) {
-  std::vector<size_t> candidates = {9, 4, 2, 7};
-  std::vector<double> scores;
-  double best = 0.0;
-  size_t pos = ParallelArgMaxBatch(
-      nullptr, candidates,
-      [](size_t v) { return static_cast<double>(v); }, &scores, &best);
-  EXPECT_EQ(candidates[pos], 9u);
-  EXPECT_DOUBLE_EQ(best, 9.0);
-  EXPECT_EQ(scores, (std::vector<double>{9.0, 4.0, 2.0, 7.0}));
-}
-
-TEST(ParallelArgMaxBatchTest, TieBreakStableUnderContention) {
-  // Many equal-score candidates across all chunks of an 8-wide pool,
-  // repeated 100x: the smallest candidate value must win every run.
-  ThreadPool pool(8);
-  std::vector<size_t> candidates(512);
-  for (size_t j = 0; j < candidates.size(); ++j) {
-    // Descending ids, so the winner sits at the *end* of the list (the
-    // last chunk) — a merge that preferred earlier chunks would fail.
-    candidates[j] = 2000 - 2 * j;
-  }
-  for (int rep = 0; rep < 100; ++rep) {
-    double best = 0.0;
-    size_t pos = ParallelArgMaxBatch(&pool, candidates,
-                                     [](size_t) { return 1.25; }, nullptr,
-                                     &best);
-    ASSERT_EQ(candidates[pos], 2000u - 2u * 511u) << "rep " << rep;
-    ASSERT_DOUBLE_EQ(best, 1.25);
   }
 }
 

@@ -450,13 +450,9 @@ int CmdSolve(int argc, char** argv) {
                   "sessions with --clicks, else Normalized when the graph "
                   "admits it)");
   flags.AddString("algorithm", "lazy",
-                  "greedy|lazy|parallel|lazy-parallel|constrained|"
-                  "topk-w|topk-c|random");
+                  "greedy|lazy|parallel|constrained|topk-w|topk-c|random");
   flags.AddInt("threads", 4,
-               "threads for --algorithm=parallel|lazy-parallel");
-  flags.AddInt("batch", 0,
-               "CELF batch size for --algorithm=lazy-parallel (0 = auto: "
-               "4x threads)");
+               "threads for --algorithm=parallel, in [1, 256]");
   flags.AddInt("seed", 42, "seed for --algorithm=random");
   flags.AddBool("stats", false,
                 "print solver telemetry (gain evaluations, heap pops, "
@@ -527,6 +523,16 @@ int CmdSolve(int argc, char** argv) {
   if (deadline_ms > 0) {
     cancel.SetTimeout(static_cast<double>(deadline_ms) / 1000.0);
   }
+  // The pool starts one OS thread per worker: bound the count before any
+  // pool exists (a negative value would wrap to SIZE_MAX).
+  constexpr int64_t kMaxThreads = 256;
+  const int64_t threads_flag = flags.GetInt("threads");
+  if (threads_flag < 1 || threads_flag > kMaxThreads) {
+    return Fail(Status::InvalidArgument(
+        "--threads must be in [1, " + std::to_string(kMaxThreads) +
+        "], got " + std::to_string(threads_flag)));
+  }
+  const size_t threads = static_cast<size_t>(threads_flag);
   ScopedSignalCancel signal_hookup(&cancel);
 
   // Arm tracing before any traced work (construction included) runs.
@@ -559,8 +565,6 @@ int CmdSolve(int argc, char** argv) {
     algorithm = Algorithm::kGreedyLazy;
   } else if (algo_name == "parallel") {
     algorithm = Algorithm::kGreedyParallel;
-  } else if (algo_name == "lazy-parallel") {
-    algorithm = Algorithm::kGreedyLazyParallel;
   } else if (algo_name == "topk-w") {
     algorithm = Algorithm::kTopKWeight;
   } else if (algo_name == "topk-c") {
@@ -589,12 +593,6 @@ int CmdSolve(int argc, char** argv) {
     if (!id.ok()) return Fail(id.status());
     greedy_options.force_exclude.push_back(*id);
   }
-  const int64_t batch_flag = flags.GetInt("batch");
-  if (batch_flag < 0) {
-    return Fail(Status::InvalidArgument("--batch must be >= 0, got " +
-                                        std::to_string(batch_flag)));
-  }
-  greedy_options.batch_size = static_cast<size_t>(batch_flag);
   const bool constrained = !greedy_options.force_include.empty() ||
                            !greedy_options.force_exclude.empty();
   if (flags.GetInt("k") <= 0) {
@@ -614,15 +612,13 @@ int CmdSolve(int argc, char** argv) {
         ->Increment();
     k = graph->NumNodes();
   }
-  const size_t threads = static_cast<size_t>(flags.GetInt("threads"));
 
   // Everything routes through the eval runner (which forwards the full
   // GreedyOptions to the greedy family), so traced solves carry the
   // eval.run_algorithm phase span above the solver's own spans.
   const bool greedy_family = algorithm == Algorithm::kGreedy ||
                              algorithm == Algorithm::kGreedyLazy ||
-                             algorithm == Algorithm::kGreedyParallel ||
-                             algorithm == Algorithm::kGreedyLazyParallel;
+                             algorithm == Algorithm::kGreedyParallel;
   if (constrained && !greedy_family) {
     return Fail(Status::InvalidArgument(
         "--force-include/--force-exclude require a greedy algorithm"));
